@@ -4,7 +4,7 @@ use crate::config::{CandidateSource, PipelineConfig};
 use crate::timings::{timed, StageTimings};
 use dibella_dist::extras::{
     CONSENSUS_LENGTH_KEY, FASTQ_DROPPED_LOW_QUALITY_KEY, POA_ALIGNED_BASES_KEY,
-    POA_GRAPH_NODES_KEY,
+    POA_DP_CELLS_KEY, POA_GRAPH_NODES_KEY,
 };
 use dibella_dist::{par_ranks, CommPhase, CommSnapshot, CommStats, ProcessGrid};
 use dibella_overlap::{
@@ -342,7 +342,7 @@ fn enable_spmd_trace_for_debug(comm: &CommStats, grid: ProcessGrid) {
 /// layout that live on other ranks are gathered there (2-bit packed plus a
 /// header word, the read-exchange wire convention).  Also folds the POA
 /// counters into the `CommStats` extras (`poa_graph_nodes`,
-/// `poa_aligned_bases`, `consensus_length`).
+/// `poa_aligned_bases`, `poa_dp_cells`, `consensus_length`).
 fn account_consensus(
     contigs: &[Contig],
     consensus: &[ContigConsensus],
@@ -375,6 +375,7 @@ fn account_consensus(
         POA_ALIGNED_BASES_KEY,
         consensus.iter().map(|c| c.aligned_bases as u64).sum(),
     );
+    comm.bump_extra(POA_DP_CELLS_KEY, consensus.iter().map(|c| c.dp_cells as u64).sum());
     comm.bump_extra(
         CONSENSUS_LENGTH_KEY,
         consensus.iter().map(|c| c.consensus.len() as u64).sum(),
@@ -411,11 +412,13 @@ mod tests {
 
     #[test]
     fn pipeline_collectives_satisfy_the_spmd_protocol() {
-        // Debug-build runs trace every collective per virtual rank; the run
-        // itself asserts the invariant, and this re-checks it explicitly on
-        // the recorded traces (one per rank, none empty on a 2x2 grid).
+        // Tracing is switched on here, not only by the debug-build default,
+        // so the check holds in release builds too.  The run itself asserts
+        // the invariant, and this re-checks it explicitly on the recorded
+        // traces (one per rank, none empty on a 2x2 grid).
         let ds = DatasetSpec::Tiny.generate(46);
         let comm = CommStats::new();
+        comm.enable_spmd_trace(4);
         let _ = run_dibella_2d_on_reads(&ds.reads, &tiny_config(4), &comm);
         let traces = comm.spmd_traces();
         assert_eq!(traces.len(), 4, "one trace per virtual rank");
@@ -476,6 +479,7 @@ mod tests {
         assert!(out.comm.extras.contains_key("tr_iterations"));
         assert!(out.comm.extras.contains_key("poa_graph_nodes"));
         assert!(out.comm.extras.contains_key("poa_aligned_bases"));
+        assert!(out.comm.extras.contains_key("poa_dp_cells"));
         assert!(out.comm.extras.contains_key("consensus_length"));
     }
 
