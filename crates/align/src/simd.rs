@@ -435,7 +435,7 @@ mod tests {
         assert_eq!(lane(sub16(x, y), 0), -1934);
         assert_eq!(max16(x, y), splat(700));
         // Mixed lanes: pack (-3, 5, -16384, 4096) and add 3 everywhere.
-        let mixed = ((-3i16 as u16 as u64))
+        let mixed = (-3i16 as u16 as u64)
             | ((5u16 as u64) << 16)
             | ((NEG16 as u16 as u64) << 32)
             | ((4096u16 as u64) << 48);

@@ -1,19 +1,25 @@
 //! diBELLA 2D overlap detection: `C = A·Aᵀ`, pairwise alignment, pruning.
 //!
 //! This module covers lines 4–8 of Algorithm 1: the candidate overlap matrix
-//! is produced by Sparse SUMMA with the shared-k-mer semiring, every candidate
-//! pair is aligned with the x-drop aligner seeded at a stored shared k-mer,
+//! is produced by Sparse SUMMA with the shared-k-mer semiring, candidate
+//! pairs are aligned with the x-drop aligner seeded at a stored shared k-mer,
 //! and pairs whose alignment is too weak — or which turn out to be contained
 //! or purely internal matches — are pruned.  The surviving entries form the
 //! overlap matrix `R`, annotated with the overhang length and bidirected
 //! direction that transitive reduction needs.
+//!
+//! Alignment runs containment-first (see [`align_candidates_exec`]): the
+//! pairs whose seeds predict a containment are aligned first, and a pair
+//! whose two reads both turn out contained is then never aligned — every
+//! edge of a contained read is dropped anyway.  The output equals that of
+//! aligning every candidate pair.
 
 use crate::amatrix::build_a_matrix;
 use crate::semiring::OverlapSemiring;
 use crate::types::{CommonKmers, KmerOccurrence, OverlapEdge, SharedSeed};
 use dibella_align::{
-    align_seed_pair_with, classify_alignment, AlignScratch, AlignmentConfig, ExtendEngine,
-    OrientCache, OverlapClass, PairAlignment,
+    align_seed_pair_with, classify_alignment, AlignScratch, AlignmentConfig, BidirectedDir,
+    ExtendEngine, OrientCache, OverlapClass, PairAlignment,
 };
 use dibella_dist::{words_of, BlockDist, CommPhase, CommStats, ProcessGrid};
 use dibella_seq::{KmerTable, ReadSet, Strand};
@@ -60,22 +66,31 @@ impl OverlapConfig {
 }
 
 /// Counters describing one overlap-detection run.
+///
+/// The per-class counters (`dovetail`, `contained`, `internal`,
+/// `below_threshold`) count aligned pairs only: a pair the containment-first
+/// schedule never aligns is counted in `skipped_pairs` and nowhere else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OverlapStats {
     /// Candidate pairs (upper triangle of `C`) examined.
     pub candidate_pairs: usize,
-    /// Pairs actually aligned (shared-k-mer filter applied).
+    /// Pairs actually aligned (shared-k-mer filter applied, pairs of two
+    /// already-contained reads skipped).
     pub aligned_pairs: usize,
-    /// Pairs that produced a usable dovetail overlap.
+    /// Pairs passing the shared-k-mer filter that were never aligned because
+    /// both reads were already known to be contained.
+    pub skipped_pairs: usize,
+    /// Aligned pairs that produced a usable dovetail overlap.
     pub dovetail: usize,
-    /// Pairs discarded because one read contains the other.
+    /// Aligned pairs discarded because one read contains the other.
     pub contained: usize,
     /// Reads found to be contained in some other read; all their edges are
     /// dropped from `R` (they can be reintroduced after layout, Section II).
     pub contained_reads: usize,
-    /// Pairs discarded as internal (repeat-induced) matches.
+    /// Aligned pairs discarded as internal (repeat-induced) matches.
     pub internal: usize,
-    /// Pairs discarded for a low alignment score or a short overlap.
+    /// Aligned pairs discarded for a low alignment score or a short overlap
+    /// (including a pair none of whose stored seeds lies inside both reads).
     pub below_threshold: usize,
     /// `c` — average nonzeros per row of `C` (both triangles, Table III).
     pub c_density: f64,
@@ -177,7 +192,6 @@ pub fn account_read_exchange_2d(reads: &ReadSet, grid: ProcessGrid, stats: &Comm
 
 /// The classification outcome of one aligned candidate pair.
 enum PairOutcome {
-    Skipped,
     BelowThreshold,
     Internal,
     /// `contained` is spanned entirely by the other read.
@@ -224,6 +238,19 @@ struct SharedAlignCounters {
     simd: AtomicU64,
     scalar: AtomicU64,
     rc: AtomicU64,
+}
+
+impl AlignExecStats {
+    /// Fold the counters of another run (one schedule phase) into `self`.
+    fn absorb(&mut self, other: Self) {
+        self.aligned_cells += other.aligned_cells;
+        self.band_width_peak = self.band_width_peak.max(other.band_width_peak);
+        self.xdrop_terminations += other.xdrop_terminations;
+        self.extend_calls += other.extend_calls;
+        self.simd_calls += other.simd_calls;
+        self.scalar_calls += other.scalar_calls;
+        self.rc_orientations += other.rc_orientations;
+    }
 }
 
 impl SharedAlignCounters {
@@ -277,7 +304,7 @@ struct SeedJob {
     seed: SharedSeed,
 }
 
-/// Align every candidate pair, classify the alignments, and assemble the
+/// Align the candidate pairs, classify the alignments, and assemble the
 /// pruned overlap matrix `R`.
 ///
 /// Both `(i, j)` and `(j, i)` entries are produced for every surviving
@@ -287,6 +314,11 @@ struct SeedJob {
 /// (all their edges are dropped), matching the paper's treatment: "Contained
 /// overlaps ... are discarded during transitive reduction regardless of their
 /// alignment scores.  They may be reintroduced at later stages."
+///
+/// Pairs are aligned containment-first (see [`align_candidates_exec`]): a
+/// pair whose two reads are both already known to be contained is never
+/// aligned, because nothing it could yield survives the pruning.  `R` and
+/// the contained-read set are exactly those of aligning every pair.
 pub fn align_candidates(
     reads: &ReadSet,
     candidates: &DistMat2D<CommonKmers>,
@@ -318,37 +350,202 @@ pub fn align_candidates_with(
 /// The full-control form of [`align_candidates`]: explicit engine choice and
 /// the execution counters returned to the caller (benches and tests).
 ///
-/// The (pair, seed) work items are flattened into one queue on the
-/// work-stealing pool; each worker reuses one [`AlignScratch`] +
-/// [`OrientCache`] across every item it steals, and the per-pair best seed is
-/// reduced deterministically afterwards (first-best in stored seed order, as
-/// the sequential path always did).  Output is bit-identical for every
-/// engine and worker count.
+/// The eligible pairs (upper triangle, at least `min_shared_kmers` shared
+/// k-mers) are aligned in a deterministic two-phase schedule, each phase one
+/// [`align_pairs_exec`] call:
+///
+/// 1. **Containment-first.**  Pairs whose seed geometry predicts a
+///    containment are aligned first.  A seed places the oriented `h` at
+///    diagonal `d = pos_v − pos_h` of `v`; it predicts "`h` in `v`" when
+///    `d ≥ −fuzz` and `d + |h| ≤ |v| + fuzz`, and "`v` in `h`" symmetrically
+///    (`fuzz` is [`AlignmentConfig::classification_fuzz`]).  Their
+///    `Contained` outcomes mark the contained set `C₁`.
+/// 2. **The rest**, except pairs whose two reads are both in `C₁`.  Skipping
+///    such a pair is exact: a dovetail from it would be dropped anyway (an
+///    endpoint is contained), a containment would mark a read already
+///    marked, and an internal or below-threshold result changes nothing.
+///
+/// A wrong prediction only costs time, never output: `R`, the final
+/// contained set and every edge value equal those of aligning every pair,
+/// and are bit-identical for every engine and worker count.
 pub fn align_candidates_exec(
     reads: &ReadSet,
     candidates: &DistMat2D<CommonKmers>,
     config: &OverlapConfig,
     engine: ExtendEngine,
 ) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats) {
+    let (overlaps, stats, exec, _) = align_and_prune(reads, candidates, config, engine);
+    (overlaps, stats, exec)
+}
+
+/// [`align_candidates_exec`] that also returns the contained-read set.
+fn align_and_prune(
+    reads: &ReadSet,
+    candidates: &DistMat2D<CommonKmers>,
+    config: &OverlapConfig,
+    engine: ExtendEngine,
+) -> (DistMat2D<OverlapEdge>, OverlapStats, AlignExecStats, Vec<bool>) {
     let mut stats = OverlapStats::default();
     let n = reads.len();
 
-    // Work on the upper triangle only; every pair is aligned once.
-    let pairs: Vec<(usize, usize, CommonKmers)> = candidates
-        .to_triples()
-        .into_entries()
-        .into_iter()
-        .filter(|(i, j, _)| i < j)
-        .collect();
-    stats.candidate_pairs = pairs.len();
+    // Work on the upper triangle only; every pair is aligned at most once.
+    let mut eligible: Vec<(usize, usize, CommonKmers)> = Vec::new();
+    for (i, j, common) in candidates.to_triples().into_entries() {
+        if i < j {
+            stats.candidate_pairs += 1;
+            if common.count >= config.min_shared_kmers {
+                eligible.push((i, j, common));
+            }
+        }
+    }
     stats.c_density = if n > 0 { candidates.nnz() as f64 / n as f64 } else { 0.0 };
 
-    // Flatten every stored seed of every pair that passes the shared-k-mer
-    // filter into the flat work queue.
+    let align_phase = |phase: &[(usize, usize, CommonKmers)]| {
+        let (best, exec) = align_pairs_exec(reads, phase, config, engine);
+        let outcomes: Vec<PairOutcome> = phase
+            .iter()
+            .zip(best)
+            .map(|(&(i, j, _), aln)| classify_pair(reads, i, j, aln, &config.alignment))
+            .collect();
+        (outcomes, exec)
+    };
+
+    // Phase 1: pairs whose seeds predict a containment; their outcomes mark
+    // the contained set C₁.
+    let (phase1, rest): (Vec<_>, Vec<_>) = eligible.into_iter().partition(|&(i, j, common)| {
+        seeds_predict_containment(reads.seq(i).len(), reads.seq(j).len(), &common, config)
+    });
+    let (mut outcomes, mut exec) = align_phase(&phase1);
+    let mut contained_reads = vec![false; n];
+    for outcome in &outcomes {
+        if let PairOutcome::Contained { contained } = *outcome {
+            contained_reads[contained] = true;
+        }
+    }
+
+    // Phase 2: everything else except pairs of two reads already in C₁.
+    let rest_pairs = rest.len();
+    let phase2: Vec<_> =
+        rest.into_iter().filter(|&(i, j, _)| !(contained_reads[i] && contained_reads[j])).collect();
+    stats.skipped_pairs = rest_pairs - phase2.len();
+    let (outcomes2, exec2) = align_phase(&phase2);
+    outcomes.extend(outcomes2);
+    exec.absorb(exec2);
+
+    // Gather counters and complete the set of contained reads.
+    stats.aligned_pairs = outcomes.len();
+    for outcome in &outcomes {
+        match *outcome {
+            PairOutcome::BelowThreshold => stats.below_threshold += 1,
+            PairOutcome::Internal => stats.internal += 1,
+            PairOutcome::Contained { contained } => {
+                stats.contained += 1;
+                contained_reads[contained] = true;
+            }
+            PairOutcome::Dovetail { .. } => stats.dovetail += 1,
+        }
+    }
+    stats.contained_reads = contained_reads.iter().filter(|&&b| b).count();
+
+    // Emit edges whose endpoints both survive (`R` is built sorted, so the
+    // phase order does not show in it).
+    let mut edges: Vec<(usize, usize, OverlapEdge)> = Vec::new();
+    for outcome in outcomes {
+        if let PairOutcome::Dovetail { i, j, edge_ij, edge_ji } = outcome {
+            if contained_reads[i] || contained_reads[j] {
+                continue;
+            }
+            edges.push((i, j, edge_ij));
+            edges.push((j, i, edge_ji));
+        }
+    }
+
+    let triples = Triples::from_entries(n, n, edges);
+    let overlaps = DistMat2D::from_triples(candidates.grid(), &triples);
+    stats.r_density = if n > 0 { overlaps.nnz() as f64 / n as f64 } else { 0.0 };
+    (overlaps, stats, exec, contained_reads)
+}
+
+/// Whether some stored seed of a pair predicts that one read contains the
+/// other: placed on the seed's diagonal `d = pos_v − pos_h` (`pos_h` on the
+/// oriented `h`, as the aligner takes it), one read lies inside the other up
+/// to the classification fuzz.
+fn seeds_predict_containment(
+    len_v: usize,
+    len_h: usize,
+    common: &CommonKmers,
+    config: &OverlapConfig,
+) -> bool {
+    let fuzz = config.alignment.classification_fuzz as i64;
+    let (len_v, len_h) = (len_v as i64, len_h as i64);
+    common.seeds.iter().any(|seed| {
+        let pos_h = if seed.same_strand {
+            seed.pos_h as i64
+        } else {
+            len_h - config.k as i64 - seed.pos_h as i64
+        };
+        let d = seed.pos_v as i64 - pos_h;
+        let h_in_v = d >= -fuzz && d + len_h <= len_v + fuzz;
+        let v_in_h = d <= fuzz && len_v - d <= len_h + fuzz;
+        h_in_v || v_in_h
+    })
+}
+
+/// Classify the best alignment of pair `(i, j)`: score and length threshold
+/// first, then the overlap class of Section II.
+fn classify_pair(
+    reads: &ReadSet,
+    i: usize,
+    j: usize,
+    best: Option<PairAlignment>,
+    config: &AlignmentConfig,
+) -> PairOutcome {
+    let Some(aln) = best else { return PairOutcome::BelowThreshold };
+    let aligned_len = aln.aligned_len();
+    if aligned_len < config.min_overlap || aln.score < config.score_threshold(aligned_len) {
+        return PairOutcome::BelowThreshold;
+    }
+    match classify_alignment(&aln, reads.seq(i).len(), reads.seq(j).len(), config) {
+        OverlapClass::Dovetail { dir_vh, dir_hv, suffix_vh, suffix_hv } => {
+            let edge = |dir: BidirectedDir, suffix: usize| OverlapEdge {
+                dir: dir.bits(),
+                suffix: suffix as u32,
+                score: aln.score,
+                overlap_len: aligned_len as u32,
+            };
+            PairOutcome::Dovetail {
+                i,
+                j,
+                edge_ij: edge(dir_vh, suffix_vh),
+                edge_ji: edge(dir_hv, suffix_hv),
+            }
+        }
+        OverlapClass::Contains => PairOutcome::Contained { contained: j },
+        OverlapClass::ContainedBy => PairOutcome::Contained { contained: i },
+        OverlapClass::Internal => PairOutcome::Internal,
+    }
+}
+
+/// Align a batch of candidate pairs `(i, j, shared k-mers)` — one phase of
+/// the [`align_candidates_exec`] schedule — and return each pair's best
+/// alignment (`None` when no stored seed lies inside both reads) with the
+/// batch's execution counters.
+///
+/// The (pair, seed) work items are flattened into one queue on the
+/// work-stealing pool; each worker reuses one [`AlignScratch`] +
+/// [`OrientCache`] across every item it steals, and the per-pair best seed is
+/// reduced deterministically afterwards (first-best in stored seed order).
+/// The result is bit-identical for every engine and worker count.  The
+/// shared-k-mer filter is the caller's: every given pair is aligned.
+pub fn align_pairs_exec(
+    reads: &ReadSet,
+    pairs: &[(usize, usize, CommonKmers)],
+    config: &OverlapConfig,
+    engine: ExtendEngine,
+) -> (Vec<Option<PairAlignment>>, AlignExecStats) {
     let jobs: Vec<SeedJob> = pairs
         .iter()
         .enumerate()
-        .filter(|(_, (_, _, common))| common.count >= config.min_shared_kmers)
         .flat_map(|(idx, (_, _, common))| {
             common.seeds.iter().map(move |&seed| SeedJob { pair: idx as u32, seed })
         })
@@ -392,11 +589,9 @@ pub fn align_candidates_exec(
             ))
         },
     );
-    let exec = shared.into_stats();
 
     // Deterministic per-pair reduction: first-best in stored seed order
-    // (strictly-greater keeps the earliest seed on ties, exactly like the
-    // old sequential per-pair loop).
+    // (strictly-greater keeps the earliest seed on ties).
     let mut best: Vec<Option<PairAlignment>> = vec![None; pairs.len()];
     for (job, res) in jobs.iter().zip(results) {
         if let Some(aln) = res {
@@ -406,92 +601,7 @@ pub fn align_candidates_exec(
             }
         }
     }
-
-    let outcomes: Vec<PairOutcome> = pairs
-        .iter()
-        .enumerate()
-        .map(|(idx, &(i, j, ref common))| {
-            if common.count < config.min_shared_kmers {
-                return PairOutcome::Skipped;
-            }
-            let v = reads.seq(i);
-            let h = reads.seq(j);
-            let Some(aln) = best[idx] else { return PairOutcome::Skipped };
-
-            let aligned_len = aln.aligned_len();
-            if aligned_len < config.alignment.min_overlap
-                || aln.score < config.alignment.score_threshold(aligned_len)
-            {
-                return PairOutcome::BelowThreshold;
-            }
-            match classify_alignment(&aln, v.len(), h.len(), &config.alignment) {
-                OverlapClass::Dovetail { dir_vh, dir_hv, suffix_vh, suffix_hv } => {
-                    PairOutcome::Dovetail {
-                        i,
-                        j,
-                        edge_ij: OverlapEdge {
-                            dir: dir_vh.bits(),
-                            suffix: suffix_vh as u32,
-                            score: aln.score,
-                            overlap_len: aligned_len as u32,
-                        },
-                        edge_ji: OverlapEdge {
-                            dir: dir_hv.bits(),
-                            suffix: suffix_hv as u32,
-                            score: aln.score,
-                            overlap_len: aligned_len as u32,
-                        },
-                    }
-                }
-                OverlapClass::Contains => PairOutcome::Contained { contained: j },
-                OverlapClass::ContainedBy => PairOutcome::Contained { contained: i },
-                OverlapClass::Internal => PairOutcome::Internal,
-            }
-        })
-        .collect();
-
-    // First sweep: gather counters and the set of contained reads.
-    let mut contained_reads = vec![false; n];
-    for outcome in &outcomes {
-        match outcome {
-            PairOutcome::Skipped => {}
-            PairOutcome::BelowThreshold => {
-                stats.aligned_pairs += 1;
-                stats.below_threshold += 1;
-            }
-            PairOutcome::Internal => {
-                stats.aligned_pairs += 1;
-                stats.internal += 1;
-            }
-            PairOutcome::Contained { contained } => {
-                stats.aligned_pairs += 1;
-                stats.contained += 1;
-                contained_reads[*contained] = true;
-            }
-            PairOutcome::Dovetail { .. } => {
-                stats.aligned_pairs += 1;
-                stats.dovetail += 1;
-            }
-        }
-    }
-    stats.contained_reads = contained_reads.iter().filter(|&&b| b).count();
-
-    // Second sweep: emit edges whose endpoints both survive.
-    let mut edges: Vec<(usize, usize, OverlapEdge)> = Vec::new();
-    for outcome in outcomes {
-        if let PairOutcome::Dovetail { i, j, edge_ij, edge_ji } = outcome {
-            if contained_reads[i] || contained_reads[j] {
-                continue;
-            }
-            edges.push((i, j, edge_ij));
-            edges.push((j, i, edge_ji));
-        }
-    }
-
-    let triples = Triples::from_entries(n, n, edges);
-    let overlaps = DistMat2D::from_triples(candidates.grid(), &triples);
-    stats.r_density = if n > 0 { overlaps.nnz() as f64 / n as f64 } else { 0.0 };
-    (overlaps, stats, exec)
+    (best, shared.into_stats())
 }
 
 /// Run the full 2D overlap-detection stage: build `A`, account for the read
@@ -513,8 +623,9 @@ pub fn run_overlap_2d(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dibella_align::BidirectedDir;
+    use dibella_seq::simulate::{build_scenario, ScenarioKind, ScenarioParams};
     use dibella_seq::{count_kmers_serial, DatasetSpec, KmerSelection, SimulatedDataset};
+    use dibella_sparse::CsrMatrix;
 
     fn setup(seed: u64) -> (SimulatedDataset, KmerTable, OverlapConfig) {
         let ds = DatasetSpec::Tiny.generate(seed);
@@ -628,7 +739,18 @@ mod tests {
             s.dovetail + s.contained + s.internal + s.below_threshold,
             "every aligned pair must be classified exactly once"
         );
-        assert!(s.candidate_pairs >= s.aligned_pairs);
+        let eligible = out
+            .candidates
+            .to_triples()
+            .iter()
+            .filter(|&(i, j, c)| i < j && c.count >= cfg.min_shared_kmers)
+            .count();
+        assert_eq!(
+            s.aligned_pairs + s.skipped_pairs,
+            eligible,
+            "every pair passing the shared-k-mer filter is aligned or skipped"
+        );
+        assert!(s.candidate_pairs >= eligible);
         assert!((s.r_density - out.overlaps.nnz() as f64 / ds.reads.len() as f64).abs() < 1e-9);
         // Every surviving overlap contributes two directed entries; dovetails
         // touching contained reads are dropped, so this is an upper bound.
@@ -824,6 +946,140 @@ mod tests {
         assert_eq!(comm.extra(ALIGNED_CELLS_KEY), exec.aligned_cells);
         assert_eq!(comm.extra(BAND_WIDTH_PEAK_KEY), exec.band_width_peak);
         assert_eq!(comm.extra(XDROP_TERMINATIONS_KEY), exec.xdrop_terminations);
+    }
+
+    /// All-pairs oracle: every eligible pair aligned seed by seed with
+    /// `align_seed_pair_with` (first-best seed), classified and pruned the
+    /// way the stage did before the containment-first schedule.  Returns `R`
+    /// and the contained-read set.
+    fn all_pairs_oracle(
+        reads: &ReadSet,
+        candidates: &DistMat2D<CommonKmers>,
+        config: &OverlapConfig,
+    ) -> (CsrMatrix<OverlapEdge>, Vec<bool>) {
+        let n = reads.len();
+        let mut scratch = AlignScratch::new();
+        let mut contained = vec![false; n];
+        let mut dovetails = Vec::new();
+        for (i, j, common) in candidates.to_triples().iter() {
+            if i >= j || common.count < config.min_shared_kmers {
+                continue;
+            }
+            let (v, h) = (reads.seq(i), reads.seq(j));
+            let mut best: Option<PairAlignment> = None;
+            for seed in common.seeds.iter() {
+                let (h_oriented, strand, seed_h) = if seed.same_strand {
+                    (h.clone(), Strand::Forward, seed.pos_h as usize)
+                } else {
+                    let seed_h = h.len() - config.k - seed.pos_h as usize;
+                    (h.reverse_complement(), Strand::Reverse, seed_h)
+                };
+                let aln = align_seed_pair_with(
+                    v.codes(),
+                    h_oriented.codes(),
+                    seed.pos_v as usize,
+                    seed_h,
+                    config.k,
+                    strand,
+                    &config.alignment,
+                    ExtendEngine::Scalar,
+                    &mut scratch,
+                );
+                if best.is_none_or(|b| aln.score > b.score) {
+                    best = Some(aln);
+                }
+            }
+            let aln = best.expect("candidate seeds lie inside both reads");
+            let len = aln.aligned_len();
+            if len < config.alignment.min_overlap
+                || aln.score < config.alignment.score_threshold(len)
+            {
+                continue;
+            }
+            match classify_alignment(&aln, v.len(), h.len(), &config.alignment) {
+                OverlapClass::Dovetail { dir_vh, dir_hv, suffix_vh, suffix_hv } => {
+                    let edge = |dir: BidirectedDir, suffix: usize| OverlapEdge {
+                        dir: dir.bits(),
+                        suffix: suffix as u32,
+                        score: aln.score,
+                        overlap_len: len as u32,
+                    };
+                    dovetails.push((i, j, edge(dir_vh, suffix_vh)));
+                    dovetails.push((j, i, edge(dir_hv, suffix_hv)));
+                }
+                OverlapClass::Contains => contained[j] = true,
+                OverlapClass::ContainedBy => contained[i] = true,
+                OverlapClass::Internal => {}
+            }
+        }
+        dovetails.retain(|&(i, j, _)| !contained[i] && !contained[j]);
+        (CsrMatrix::from_triples(&Triples::from_entries(n, n, dovetails)), contained)
+    }
+
+    /// Candidates of `reads` on a `ranks`-rank grid, with the k-mer table and
+    /// configuration `setup` uses.
+    fn candidates_of(reads: &ReadSet, ranks: usize) -> (DistMat2D<CommonKmers>, OverlapConfig) {
+        let cfg = OverlapConfig::for_tests(13);
+        let sel = KmerSelection { k: cfg.k, min_count: 2, max_count: 60 };
+        let table = count_kmers_serial(reads, &sel);
+        let a = build_a_matrix(reads, &table, cfg.k, ProcessGrid::square(ranks), ranks);
+        (detect_candidates_2d(&a, &CommStats::new()), cfg)
+    }
+
+    /// Assert that the schedule reproduces the oracle's `R` and contained
+    /// set; returns the schedule's stats.
+    fn assert_schedule_matches_oracle(
+        reads: &ReadSet,
+        candidates: &DistMat2D<CommonKmers>,
+        cfg: &OverlapConfig,
+        what: &str,
+    ) -> OverlapStats {
+        let (want_r, want_contained) = all_pairs_oracle(reads, candidates, cfg);
+        let (r, stats, _, contained) = align_and_prune(reads, candidates, cfg, ExtendEngine::Auto);
+        assert_eq!(r.to_local_csr(), want_r, "{what}: R differs from the all-pairs oracle");
+        assert_eq!(contained, want_contained, "{what}: contained set differs from the oracle");
+        assert_eq!(stats.contained_reads, want_contained.iter().filter(|&&c| c).count());
+        stats
+    }
+
+    #[test]
+    fn schedule_matches_the_all_pairs_oracle_on_tiny() {
+        for seed in [1u64, 2, 3, 13] {
+            let ds = DatasetSpec::Tiny.generate(seed);
+            let (candidates, cfg) = candidates_of(&ds.reads, 4);
+            let what = format!("seed {seed}");
+            let stats = assert_schedule_matches_oracle(&ds.reads, &candidates, &cfg, &what);
+            assert!(stats.skipped_pairs > 0, "seed {seed}: the schedule must skip some pairs");
+        }
+    }
+
+    #[test]
+    fn schedule_matches_the_all_pairs_oracle_on_every_scenario() {
+        for kind in ScenarioKind::ALL {
+            let params = ScenarioParams {
+                genome_length: 4_000,
+                depth: 8.0,
+                mean_read_length: 400,
+                ..ScenarioParams::default()
+            };
+            let ds = build_scenario(kind, &params);
+            let (candidates, cfg) = candidates_of(&ds.reads, 4);
+            assert_schedule_matches_oracle(&ds.reads, &candidates, &cfg, kind.label());
+        }
+    }
+
+    #[test]
+    fn schedule_matches_the_all_pairs_oracle_across_ranks_and_threads() {
+        let ds = DatasetSpec::Tiny.generate(21);
+        for ranks in [1usize, 4, 16] {
+            let (candidates, cfg) = candidates_of(&ds.reads, ranks);
+            for threads in [1usize, 2, 4] {
+                rayon::pool::with_thread_limit(threads, || {
+                    let what = format!("ranks={ranks} threads={threads}");
+                    assert_schedule_matches_oracle(&ds.reads, &candidates, &cfg, &what)
+                });
+            }
+        }
     }
 
     #[test]

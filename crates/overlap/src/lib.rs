@@ -6,7 +6,8 @@
 //!    k-mer table ([`amatrix`]);
 //! 2. compute the candidate overlap matrix `C = A·Aᵀ` with the shared-k-mer
 //!    semiring ([`semiring`]) via distributed Sparse SUMMA ([`detect`]);
-//! 3. run seed-and-extend alignment on every candidate pair, classify the
+//! 3. run seed-and-extend alignment on the candidate pairs (containment
+//!    first, skipping pairs of two already-contained reads), classify the
 //!    result, and prune low-scoring / contained / internal matches to obtain
 //!    the overlap matrix `R` annotated with bidirected directions and
 //!    overhang lengths ([`detect::align_candidates`]);
@@ -33,9 +34,9 @@ pub mod types;
 pub use amatrix::build_a_matrix;
 pub use detect::{
     account_read_exchange_2d, align_candidates, align_candidates_exec, align_candidates_with,
-    detect_candidates_2d, detect_candidates_2d_with, run_overlap_2d, AlignExecStats,
-    OverlapConfig, OverlapOutput, OverlapStats, ALIGNED_CELLS_KEY, BAND_WIDTH_PEAK_KEY,
-    XDROP_TERMINATIONS_KEY,
+    align_pairs_exec, detect_candidates_2d, detect_candidates_2d_with, run_overlap_2d,
+    AlignExecStats, OverlapConfig, OverlapOutput, OverlapStats, ALIGNED_CELLS_KEY,
+    BAND_WIDTH_PEAK_KEY, XDROP_TERMINATIONS_KEY,
 };
 pub use minimizer::{minimizer_overlaps, MinimizerConfig, MinimizerOverlap};
 pub use one_d::{account_read_exchange_1d, detect_candidates_1d, run_overlap_1d};

@@ -41,7 +41,8 @@ fn pipeline_is_bit_identical_under_fifty_plus_steal_schedules() {
     };
 
     let mut explored = 0;
-    explored += assert_schedule_determinism(SchedulePreset::ExhaustiveSmall, &workload);
-    explored += assert_schedule_determinism(SchedulePreset::RandomizedLarge { count: 26 }, &workload);
+    explored += assert_schedule_determinism(SchedulePreset::ExhaustiveSmall, workload);
+    explored +=
+        assert_schedule_determinism(SchedulePreset::RandomizedLarge { count: 26 }, workload);
     assert!(explored >= 50, "acceptance floor: explored only {explored} schedules");
 }

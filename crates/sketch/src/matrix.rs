@@ -276,7 +276,7 @@ mod tests {
         // Every surviving column appears in at least two rows.
         let mut col_counts = vec![0u32; a.ncols()];
         for (_, col, _) in a.to_local_csr().iter() {
-            col_counts[col as usize] += 1;
+            col_counts[col] += 1;
         }
         assert!(col_counts.iter().all(|&c| c >= cfg.min_reads));
     }

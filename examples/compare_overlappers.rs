@@ -16,7 +16,7 @@ use dibella2d::prelude::*;
 use dibella2d::seq::count_kmers_distributed;
 use dibella2d::sketch::SKETCH_NNZ_KEY;
 use dibella2d::sparse::DistMat2D;
-use std::time::Instant;
+use dibella2d::pipeline::timings::timed;
 
 fn main() {
     let dataset = DatasetSpec::EColiLike.generate_with_length(30_000, 21);
@@ -52,17 +52,16 @@ fn main() {
     {
         let comm = CommStats::new();
         let table = count_kmers_distributed(&dataset.reads, &config.kmer, nprocs, &comm);
-        let start = Instant::now();
-        let grid = ProcessGrid::square_at_most(nprocs);
-        let a = build_a_matrix(&dataset.reads, &table, config.overlap.k, grid, grid.nprocs());
-        account_read_exchange_2d(&dataset.reads, grid, &comm);
-        let candidates =
-            detect_candidates_2d_with(&a, &comm, config.overlap.use_symmetric_summa);
-        let t_align = Instant::now();
-        let (overlaps, _) =
-            align_candidates_with(&dataset.reads, &candidates, &config.overlap, Some(&comm));
-        let align_secs = t_align.elapsed().as_secs_f64();
-        let elapsed = start.elapsed().as_secs_f64();
+        let ((overlaps, align_secs), elapsed) = timed(|| {
+            let grid = ProcessGrid::square_at_most(nprocs);
+            let a = build_a_matrix(&dataset.reads, &table, config.overlap.k, grid, grid.nprocs());
+            account_read_exchange_2d(&dataset.reads, grid, &comm);
+            let candidates =
+                detect_candidates_2d_with(&a, &comm, config.overlap.use_symmetric_summa);
+            timed(|| {
+                align_candidates_with(&dataset.reads, &candidates, &config.overlap, Some(&comm)).0
+            })
+        });
         let snap = comm.snapshot();
         let cells = snap.extras.get(ALIGNED_CELLS_KEY).copied().unwrap_or(0);
         report(
@@ -81,18 +80,18 @@ fn main() {
     // counting stage and far fewer nonzeros to broadcast and multiply.
     {
         let comm = CommStats::new();
-        let start = Instant::now();
-        let grid = ProcessGrid::square_at_most(nprocs);
-        let (a, info) =
-            build_sketch_matrix(&dataset.reads, &config.sketch, grid, grid.nprocs(), &comm);
-        account_read_exchange_2d(&dataset.reads, grid, &comm);
-        let candidates =
-            detect_candidates_2d_with(&a, &comm, config.overlap.use_symmetric_summa);
-        let t_align = Instant::now();
-        let (overlaps, _) =
-            align_candidates_with(&dataset.reads, &candidates, &config.overlap, Some(&comm));
-        let align_secs = t_align.elapsed().as_secs_f64();
-        let elapsed = start.elapsed().as_secs_f64();
+        let (((overlaps, align_secs), info), elapsed) = timed(|| {
+            let grid = ProcessGrid::square_at_most(nprocs);
+            let (a, info) =
+                build_sketch_matrix(&dataset.reads, &config.sketch, grid, grid.nprocs(), &comm);
+            account_read_exchange_2d(&dataset.reads, grid, &comm);
+            let candidates =
+                detect_candidates_2d_with(&a, &comm, config.overlap.use_symmetric_summa);
+            let aligned = timed(|| {
+                align_candidates_with(&dataset.reads, &candidates, &config.overlap, Some(&comm)).0
+            });
+            (aligned, info)
+        });
         let snap = comm.snapshot();
         let cells = snap.extras.get(ALIGNED_CELLS_KEY).copied().unwrap_or(0);
         report(
@@ -116,17 +115,16 @@ fn main() {
     {
         let comm = CommStats::new();
         let table = count_kmers_distributed(&dataset.reads, &config.kmer, nprocs, &comm);
-        let start = Instant::now();
-        let grid = ProcessGrid::square(1);
-        let a = build_a_matrix(&dataset.reads, &table, config.overlap.k, grid, nprocs);
-        let candidates_local = detect_candidates_1d(&a.to_local_csr(), nprocs, &comm);
-        account_read_exchange_1d(&dataset.reads, &candidates_local, nprocs, &comm);
-        let candidates = DistMat2D::from_triples(grid, &candidates_local.to_triples());
-        let t_align = Instant::now();
-        let (overlaps, _) =
-            align_candidates_with(&dataset.reads, &candidates, &config.overlap, Some(&comm));
-        let align_secs = t_align.elapsed().as_secs_f64();
-        let elapsed = start.elapsed().as_secs_f64();
+        let ((overlaps, align_secs), elapsed) = timed(|| {
+            let grid = ProcessGrid::square(1);
+            let a = build_a_matrix(&dataset.reads, &table, config.overlap.k, grid, nprocs);
+            let candidates_local = detect_candidates_1d(&a.to_local_csr(), nprocs, &comm);
+            account_read_exchange_1d(&dataset.reads, &candidates_local, nprocs, &comm);
+            let candidates = DistMat2D::from_triples(grid, &candidates_local.to_triples());
+            timed(|| {
+                align_candidates_with(&dataset.reads, &candidates, &config.overlap, Some(&comm)).0
+            })
+        });
         let snap = comm.snapshot();
         let cells = snap.extras.get(ALIGNED_CELLS_KEY).copied().unwrap_or(0);
         report(
@@ -141,10 +139,8 @@ fn main() {
 
     // Minimizer overlapper (shared-memory, no alignment — like minimap2).
     {
-        let start = Instant::now();
         let cfg = MinimizerConfig { min_span: min_overlap, ..MinimizerConfig::default() };
-        let found = minimizer_overlaps(&dataset.reads, &cfg);
-        let elapsed = start.elapsed().as_secs_f64();
+        let (found, elapsed) = timed(|| minimizer_overlaps(&dataset.reads, &cfg));
         let pairs: std::collections::HashSet<(usize, usize)> =
             found.iter().map(|o| (o.read_a, o.read_b)).collect();
         report("minimizer (no align)", pairs, &truth, elapsed, None, 0);

@@ -8,7 +8,7 @@
 
 use dibella2d::prelude::*;
 use dibella2d::strgraph::fixtures::{tiling_overlap_graph, to_dist};
-use std::time::Instant;
+use dibella2d::pipeline::timings::timed;
 
 fn main() {
     println!(
@@ -24,17 +24,9 @@ fn main() {
         let cfg = TransitiveReductionConfig { fuzz: 60, max_iterations: 16 };
 
         let comm = CommStats::new();
-        let start = Instant::now();
-        let parallel = transitive_reduction(&dist, &cfg, &comm);
-        let t_parallel = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        let (myers, _) = myers_transitive_reduction(&local, cfg.fuzz);
-        let t_myers = start.elapsed().as_secs_f64();
-
-        let start = Instant::now();
-        let (sora, sora_stats) = sora_transitive_reduction(&local, cfg.fuzz);
-        let t_sora = start.elapsed().as_secs_f64();
+        let (parallel, t_parallel) = timed(|| transitive_reduction(&dist, &cfg, &comm));
+        let ((myers, _), t_myers) = timed(|| myers_transitive_reduction(&local, cfg.fuzz));
+        let ((sora, sora_stats), t_sora) = timed(|| sora_transitive_reduction(&local, cfg.fuzz));
 
         let parallel_local = parallel.string_matrix.to_local_csr();
         let agree = parallel_local.pattern() == myers.pattern()
