@@ -4,58 +4,33 @@
 //! The overlap stage flattens every (candidate pair, seed) into a flat work
 //! queue on the work-stealing pool; each worker owns one [`AlignScratch`]
 //! that amortises every buffer an extension needs — the scalar DP double
-//! buffer, the vector-kernel word buffers and equality tables, the
+//! buffer, the vector-kernel row buffers and substitution-score tables, the
 //! reversed-prefix buffers of the left extension, and the reverse-complement
 //! cache for opposite-strand pairs.  After the first few work items warm the
 //! buffers, the steady state allocates **nothing** per alignment (pinned by
 //! the `alloc_steady_state` integration test of this crate).
 //!
-//! Dispatch: [`ExtendEngine::Auto`] runs the lane-packed vector kernel
-//! whenever [`swar_eligible`] accepts the scoring scheme — the 8-lane SSE2
-//! kernel ([`crate::sse2`]) on x86-64, the portable 4-lane u64 SWAR kernel
-//! ([`crate::simd`]) everywhere else — else (and under
-//! [`ExtendEngine::Scalar`]) the scalar oracle.  All kernels produce
+//! Dispatch: [`ExtendEngine::Auto`] runs the lane-generic vector kernel
+//! ([`crate::simd`]) whenever [`swar_eligible`] accepts the scoring scheme,
+//! at the widest lane width the CPU runs — 16-lane AVX2 when detected at run
+//! time, else 8-lane SSE2 on x86-64, else the portable 4-lane `u64` SWAR
+//! impl — else (and under [`ExtendEngine::Scalar`]) the scalar oracle.  The
+//! width is resolved once per [`AlignScratch`], and both extensions of a
+//! seed pair go through one dispatch function.  All widths produce
 //! bit-identical [`ExtendResult`]s, so engine choice never changes pipeline
 //! output.
 
 use crate::classify::PairAlignment;
 use crate::scoring::{AlignmentConfig, ScoringScheme};
-use crate::simd::swar_eligible;
-#[cfg(not(target_arch = "x86_64"))]
-use crate::simd::{xdrop_extend_swar, SwarScratch};
-#[cfg(target_arch = "x86_64")]
-use crate::sse2::{xdrop_extend_sse2, Sse2Scratch};
+use crate::simd::{swar_eligible, VectorScratch};
 use crate::xdrop::{xdrop_extend_with, ExtendCounters, ExtendResult, XdropScratch};
 use dibella_seq::Strand;
-
-/// Scratch type of the vector kernel the current target dispatches to.
-#[cfg(target_arch = "x86_64")]
-type VectorScratch = Sse2Scratch;
-/// Scratch type of the vector kernel the current target dispatches to.
-#[cfg(not(target_arch = "x86_64"))]
-type VectorScratch = SwarScratch;
-
-/// One eligible extension through the target's vector kernel.
-#[inline]
-fn vector_extend(
-    a: &[u8],
-    b: &[u8],
-    scoring: ScoringScheme,
-    xdrop: i32,
-    scratch: &mut VectorScratch,
-    counters: &mut ExtendCounters,
-) -> ExtendResult {
-    #[cfg(target_arch = "x86_64")]
-    return xdrop_extend_sse2(a, b, scoring, xdrop, scratch, counters);
-    #[cfg(not(target_arch = "x86_64"))]
-    xdrop_extend_swar(a, b, scoring, xdrop, scratch, counters)
-}
 
 /// Which extension kernel the batched engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExtendEngine {
-    /// Vector kernel (SSE2 or SWAR) when the scoring scheme is eligible,
-    /// scalar otherwise.
+    /// The vector kernel at the widest lane width the CPU runs when the
+    /// scoring scheme is eligible, scalar otherwise.
     #[default]
     Auto,
     /// Always the scalar oracle (the reference / bench comparison path).
@@ -65,24 +40,69 @@ pub enum ExtendEngine {
 /// Per-worker reusable state for batched alignment.
 #[derive(Debug, Default)]
 pub struct AlignScratch {
-    xdrop: XdropScratch,
-    simd: VectorScratch,
+    kernels: Kernels,
     rev_a: Vec<u8>,
     rev_b: Vec<u8>,
-    /// Cell/band/termination counters accumulated over every extension this
-    /// scratch ran (engine-independent: all kernels count identically).
-    pub counters: ExtendCounters,
-    /// Extensions dispatched to the vector kernel (SSE2 on x86-64, SWAR
-    /// elsewhere).
-    pub simd_calls: u64,
-    /// Extensions dispatched to the scalar oracle.
-    pub scalar_calls: u64,
+}
+
+/// The kernel scratch and tallies of an [`AlignScratch`]: every field but
+/// the reversed-prefix buffers, which the left extension borrows alongside.
+#[derive(Debug, Default)]
+struct Kernels {
+    xdrop: XdropScratch,
+    simd: VectorScratch,
+    counters: ExtendCounters,
+    simd_calls: u64,
+    scalar_calls: u64,
+}
+
+impl Kernels {
+    /// One x-drop extension through the engine dispatch.
+    fn extend(
+        &mut self,
+        a: &[u8],
+        b: &[u8],
+        scoring: ScoringScheme,
+        xdrop: i32,
+        engine: ExtendEngine,
+    ) -> ExtendResult {
+        if engine == ExtendEngine::Auto && swar_eligible(scoring, xdrop) {
+            self.simd_calls += 1;
+            self.simd.extend(a, b, scoring, xdrop, &mut self.counters)
+        } else {
+            self.scalar_calls += 1;
+            xdrop_extend_with(a, b, scoring, xdrop, &mut self.xdrop, &mut self.counters)
+        }
+    }
 }
 
 impl AlignScratch {
-    /// A fresh scratch with cold buffers.
+    /// A fresh scratch with cold buffers, set up for the widest vector
+    /// kernel this CPU runs.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Cell/band/termination counters accumulated over every extension this
+    /// scratch ran (engine-independent: all kernels count identically).
+    pub fn counters(&self) -> &ExtendCounters {
+        &self.kernels.counters
+    }
+
+    /// Extensions dispatched to the vector kernel.
+    pub fn simd_calls(&self) -> u64 {
+        self.kernels.simd_calls
+    }
+
+    /// Extensions dispatched to the scalar oracle.
+    pub fn scalar_calls(&self) -> u64 {
+        self.kernels.scalar_calls
+    }
+
+    /// The vector kernel width [`ExtendEngine::Auto`] runs with this
+    /// scratch: `"avx2"`, `"sse2"` or `"swar"`.
+    pub fn vector_kernel(&self) -> &'static str {
+        self.kernels.simd.name()
     }
 }
 
@@ -95,13 +115,7 @@ pub fn xdrop_extend_auto(
     engine: ExtendEngine,
     scratch: &mut AlignScratch,
 ) -> ExtendResult {
-    if engine == ExtendEngine::Auto && swar_eligible(scoring, xdrop) {
-        scratch.simd_calls += 1;
-        vector_extend(a, b, scoring, xdrop, &mut scratch.simd, &mut scratch.counters)
-    } else {
-        scratch.scalar_calls += 1;
-        xdrop_extend_with(a, b, scoring, xdrop, &mut scratch.xdrop, &mut scratch.counters)
-    }
+    scratch.kernels.extend(a, b, scoring, xdrop, engine)
 }
 
 /// Batched twin of [`crate::xdrop::align_seed_pair`]: operates on raw 2-bit
@@ -127,29 +141,17 @@ pub fn align_seed_pair_with(
     let scoring = config.scoring;
 
     // Right extension over the suffixes beyond the seed.
-    let right = xdrop_extend_auto(
-        &v[seed_v + k..],
-        &h_oriented[seed_h + k..],
-        scoring,
-        config.xdrop,
-        engine,
-        scratch,
-    );
+    let AlignScratch { kernels, rev_a, rev_b } = scratch;
+    let right =
+        kernels.extend(&v[seed_v + k..], &h_oriented[seed_h + k..], scoring, config.xdrop, engine);
 
     // Left extension over the reversed prefixes before the seed, built into
     // the reusable buffers (cleared, not reallocated).
-    let s = &mut *scratch;
-    s.rev_a.clear();
-    s.rev_a.extend(v[..seed_v].iter().rev().copied());
-    s.rev_b.clear();
-    s.rev_b.extend(h_oriented[..seed_h].iter().rev().copied());
-    let left = if engine == ExtendEngine::Auto && swar_eligible(scoring, config.xdrop) {
-        s.simd_calls += 1;
-        vector_extend(&s.rev_a, &s.rev_b, scoring, config.xdrop, &mut s.simd, &mut s.counters)
-    } else {
-        s.scalar_calls += 1;
-        xdrop_extend_with(&s.rev_a, &s.rev_b, scoring, config.xdrop, &mut s.xdrop, &mut s.counters)
-    };
+    rev_a.clear();
+    rev_a.extend(v[..seed_v].iter().rev().copied());
+    rev_b.clear();
+    rev_b.extend(h_oriented[..seed_h].iter().rev().copied());
+    let left = kernels.extend(rev_a, rev_b, scoring, config.xdrop, engine);
 
     let score = left.score + right.score + (k as i32) * scoring.match_score;
     PairAlignment {
@@ -225,14 +227,14 @@ mod tests {
         let mut scratch = AlignScratch::new();
         // Default scheme: vector-eligible.
         let _ = xdrop_extend_auto(&a, &a, ScoringScheme::default(), 10, ExtendEngine::Auto, &mut scratch);
-        assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 0));
+        assert_eq!((scratch.simd_calls(), scratch.scalar_calls()), (1, 0));
         // Zero gap penalty: outside the vector exactness box -> scalar.
         let weird = ScoringScheme { match_score: 1, mismatch: -1, gap: 0 };
         let _ = xdrop_extend_auto(&a, &a, weird, 10, ExtendEngine::Auto, &mut scratch);
-        assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 1));
+        assert_eq!((scratch.simd_calls(), scratch.scalar_calls()), (1, 1));
         // Forced scalar.
         let _ = xdrop_extend_auto(&a, &a, ScoringScheme::default(), 10, ExtendEngine::Scalar, &mut scratch);
-        assert_eq!((scratch.simd_calls, scratch.scalar_calls), (1, 2));
+        assert_eq!((scratch.simd_calls(), scratch.scalar_calls()), (1, 2));
     }
 
     proptest! {

@@ -1,113 +1,76 @@
-//! SWAR x-drop extension kernel: four DP cells per `u64`.
+//! Lane-generic x-drop extension kernel: one body, three lane widths.
 //!
 //! This is the vectorised twin of the scalar oracle in [`crate::xdrop`].  DP
-//! scores are packed as four lane-packed `i16`s in one `u64` word — lane `t`
-//! of word `w` holds column `4·w + t` — and each DP row advances the whole
-//! adaptive band a word at a time with branch-free lane-parallel max/add:
+//! scores are packed as `i16` lanes — lane `t` of vector `w` holds column
+//! `N·w + t` — and each DP row advances the whole adaptive band a vector at a
+//! time with branch-free lane-parallel max/add.  One kernel body is generic
+//! over a small private lane trait with three impls:
 //!
 //! ```text
-//!          u64 word w                     word w+1
-//!  ┌──────┬──────┬──────┬──────┐ ┌──────┬──────┬──────┬──────┐
-//!  │ j=4w │ 4w+1 │ 4w+2 │ 4w+3 │ │ 4w+4 │ 4w+5 │ 4w+6 │ 4w+7 │   i16 lanes
-//!  └──────┴──────┴──────┴──────┘ └──────┴──────┴──────┴──────┘
-//!   bits 0..16   ...      48..64
+//!  AVX2 (x86-64, detected): __m256i = | s0 | s1 | s2 | ... | s14 | s15 |   16 lanes
+//!  SSE2 (x86-64 baseline):  __m128i = | s0 | s1 | s2 | ... | s7 |          8 lanes
+//!  SWAR (portable):             u64 = |  s0  |  s1  |  s2  |  s3  |        4 lanes
 //! ```
 //!
-//! Lane arithmetic uses the classic carry-masked SWAR add/sub (Hacker's
-//! Delight §2-18): the value-range guards of [`swar_eligible`] keep every
-//! intermediate inside `i16`, so wrapping lane adds are *exact* — no
-//! saturation, hence bit-identical scores.  Dead cells hold the sentinel
-//! [`NEG16`]; a dead lane plus any bounded addend stays far below every
-//! threshold, so dead lanes may freely participate in the maxes.
+//! The batched engine ([`crate::batch`]) picks the widest impl the CPU runs
+//! once per worker scratch: AVX2 when `is_x86_feature_detected!("avx2")`
+//! holds, else SSE2 on x86-64, else SWAR.  The AVX2 body is the same generic
+//! body, instantiated inside a `#[target_feature(enable = "avx2")]` function
+//! so that every lane operation inlines to AVX2 instructions.
+//!
+//! Lane adds wrap, and the value-range box of [`swar_eligible`] keeps every
+//! intermediate inside `i16`, so wrapping adds are *exact* — no saturation,
+//! hence bit-identical scores.  Dead cells hold the sentinel [`NEG16`]; a
+//! dead lane plus any bounded addend stays far below every threshold, so dead
+//! lanes may freely participate in the maxes.
 //!
 //! The within-row left-gap dependency `run[j] = max(tmp[j], run[j-1] + gap)`
-//! is a max-plus prefix scan, computed with two in-word log-steps (shift by
-//! one lane adding `gap`, shift by two lanes adding `2·gap`) plus a
-//! sequential cross-word carry through a `gap`-ramp broadcast.
+//! is a max-plus prefix scan: log-step lane shifts inside a vector (shift by
+//! `k` lanes adding `k·gap`), then the carry from the previous vector through
+//! a `(t+1)·gap` ramp.  The carry never leaves the vector registers: it is
+//! the previous vector's last lane broadcast to all lanes, and its next value
+//! `max(last(scan), carry + N·gap)` is one add and one max away from the
+//! current one, so the serial chain across a row is two instructions per
+//! vector.
 //!
-//! Scores are kept *relative* to a running `i32` base: when the in-band best
-//! exceeds `REBASE_AT` (4096), the base absorbs it and every live lane is shifted
-//! down (dead lanes are re-pinned at [`NEG16`]).  That gives unbounded total
-//! scores (long perfect matches) with `i16` lanes.
+//! Scores are kept *relative* to a running `i64` base: when the in-band best
+//! exceeds `REBASE_AT` (4096), the base absorbs it and every live lane is
+//! shifted down (dead lanes are re-pinned at [`NEG16`]).  That gives
+//! unbounded total scores (long perfect matches) with `i16` lanes.
 //!
 //! The kernel implements exactly the two-phase thresholding of
-//! [`crate::xdrop::xdrop_extend`] and is proptested to produce bit-identical
-//! [`ExtendResult`]s; [`swar_eligible`] names the scoring ranges where the
-//! exactness argument holds — outside them the batched engine falls back to
-//! the scalar oracle.
-//!
-//! On x86-64 the batched engine prefers the hardware twin of this kernel —
-//! eight `i16` lanes per `__m128i` with true SIMD instructions
-//! ([`crate::sse2`], same structure, same exactness argument) — and this
-//! portable kernel serves as the fallback for every other target.
+//! [`crate::xdrop::xdrop_extend`] and is proptested at every width to
+//! produce bit-identical [`ExtendResult`]s and [`ExtendCounters`];
+//! [`swar_eligible`] names the scoring ranges where the exactness argument
+//! holds — outside them the batched engine falls back to the scalar oracle.
 
 use crate::scoring::ScoringScheme;
 use crate::xdrop::{ExtendCounters, ExtendResult};
 
 /// Dead-cell sentinel per lane.  `-16384` leaves headroom on both sides:
-/// `NEG16 + 3·gap` cannot wrap below `i16::MIN`, and live scores stay below
-/// `REBASE_AT + match` which cannot collide with it from above.
+/// a dead lane minus the largest scan or carry penalty (`16·63`) cannot wrap
+/// below `i16::MIN`, and live scores stay below `REBASE_AT + match` which
+/// cannot collide with it from above.
 pub const NEG16: i16 = -16384;
 
-/// Rebase the relative scores into the `i32` base once the in-band best
+/// Rebase the relative scores into the `i64` base once the in-band best
 /// exceeds this, keeping all lane values well inside `i16`.
 const REBASE_AT: i32 = 4096;
 
-const LANES: usize = 4;
-const LANE_BITS: u32 = 16;
-/// Per-lane sign bits, the carry fence of the SWAR add/sub.
-const SIGN: u64 = 0x8000_8000_8000_8000;
-const LOW: u64 = 0x0001_0001_0001_0001;
-/// All four lanes dead.
-const NEG_PAT: u64 = splat(NEG16);
+/// A threshold above every live score (at most `REBASE_AT + 2·63`), yet close
+/// enough to [`NEG16`] that lane differences stay inside `i16`, as the SWAR
+/// compare needs.
+const ABOVE_SCORES: i16 = 2 * REBASE_AT as i16;
 
-/// Broadcast an `i16` into all four lanes.
-const fn splat(x: i16) -> u64 {
-    (x as u16 as u64).wrapping_mul(LOW)
-}
-
-/// Lane-wise wrapping add without cross-lane carries.
-#[inline(always)]
-fn add16(x: u64, y: u64) -> u64 {
-    ((x & !SIGN).wrapping_add(y & !SIGN)) ^ ((x ^ y) & SIGN)
-}
-
-/// Lane-wise wrapping subtract without cross-lane borrows.
-#[inline(always)]
-fn sub16(x: u64, y: u64) -> u64 {
-    ((x | SIGN).wrapping_sub(y & !SIGN)) ^ ((x ^ !y) & SIGN)
-}
-
-/// Lane mask: `0xFFFF` where `x < y` (signed), `0` elsewhere.  Exact while
-/// each lane difference fits in `i16`, which the eligibility ranges plus
-/// rebasing guarantee.
-#[inline(always)]
-fn lt16_mask(x: u64, y: u64) -> u64 {
-    let d = sub16(x, y);
-    ((d & SIGN) >> 15).wrapping_mul(0xFFFF)
-}
-
-/// Lane-wise signed max.
-#[inline(always)]
-fn max16(x: u64, y: u64) -> u64 {
-    let m = lt16_mask(x, y);
-    (x & !m) | (y & m)
-}
-
-/// Extract lane `t` as an `i32`.
-#[inline(always)]
-fn lane(w: u64, t: usize) -> i32 {
-    ((w >> (LANE_BITS as usize * t)) as u16 as i16) as i32
-}
-
-/// Can the SWAR kernel run this scoring scheme bit-exactly?
+/// Can the vector kernel run this scoring scheme bit-exactly?
 ///
 /// The bounds box every intermediate inside `i16` under wrapping lane adds
-/// (see the module docs): per-step addends within ±63, relative scores within
-/// `[-xdrop, REBASE_AT + 63]` with `xdrop ≤ 3000`, dead sentinel at `-16384`.
-/// The default and `for_error_rate` schemes (`match 1, mismatch -1, gap -1`,
-/// `xdrop ≤ ~100`) are comfortably inside; exotic schemes (zero/positive gap,
-/// huge penalties, huge xdrop) take the scalar oracle instead.
+/// (see the module docs): per-step addends within ±63 (at most `16·63` per
+/// scan or carry step), relative scores within `[-xdrop, REBASE_AT + 63]`
+/// with `xdrop ≤ 3000`, dead sentinel at `-16384`.  The default and
+/// `for_error_rate` schemes (`match 1, mismatch -1, gap -1`, `xdrop ≤ ~100`)
+/// are comfortably inside; exotic schemes (zero/positive gap, huge
+/// penalties, huge xdrop) take the scalar oracle instead.
 pub fn swar_eligible(scoring: ScoringScheme, xdrop: i32) -> bool {
     (1..=63).contains(&scoring.match_score)
         && (-63..=0).contains(&scoring.mismatch)
@@ -115,122 +78,166 @@ pub fn swar_eligible(scoring: ScoringScheme, xdrop: i32) -> bool {
         && (0..=3000).contains(&xdrop)
 }
 
-/// Reusable word buffers for the SWAR kernel: the two row buffers plus the
-/// lazily built per-base equality tables of `b`.
-///
-/// Lane `t` of word `w` always refers to absolute column `4·w + t`; the row
-/// buffers are indexed by absolute word, so no per-row repacking happens —
-/// the live window just slides over them.
-#[derive(Debug, Default)]
-pub struct SwarScratch {
-    prev: Vec<u64>,
-    cur: Vec<u64>,
-    /// `eq[c * stride + w]`: lane mask word, `0xFFFF` in lane `t` iff
-    /// `b[4w + t - 1] == c`.  Built lazily as the band reaches new words, so
-    /// early-terminating extensions never pay for the full length of `b`.
-    eq: Vec<u64>,
-    eq_stride: usize,
-    eq_built: usize,
+/// A vector of `N` wrapping `i16` lanes: the operations the kernel body needs.
+pub(crate) trait Lanes: Copy {
+    /// Lanes per vector (at most 16).
+    const N: usize;
+    /// `x` in every lane.
+    fn splat(x: i16) -> Self;
+    /// Lane `t` = `l[t]` for `t < N`.
+    fn load(l: &[i16; 16]) -> Self;
+    /// Lane-wise wrapping add.
+    fn add(self, y: Self) -> Self;
+    /// Lane-wise wrapping subtract.
+    fn sub(self, y: Self) -> Self;
+    /// Lane-wise signed max.
+    fn max(self, y: Self) -> Self;
+    /// All-ones lanes where `self < y` (signed), zero elsewhere.
+    fn lt(self, y: Self) -> Self;
+    /// Lanes of `y` where `mask` is all-ones, of `x` elsewhere.
+    fn select(mask: Self, x: Self, y: Self) -> Self;
+    /// Shift up one lane across vectors: lane 0 takes the last lane of
+    /// `prev`, lane `t` takes lane `t - 1` of `self`.
+    fn shift_in(self, prev: Self) -> Self;
+    /// In-vector max-plus prefix scan, `v[t] = max over s ≤ t of
+    /// v[s] + (t - s)·gap`, by log steps: `steps[k]` is `2^k·gap` in every
+    /// lane, and `neg` fills the lanes a shift vacates.
+    fn scan(self, steps: &[Self; 4], neg: Self) -> Self;
+    /// The last lane in every lane.
+    fn last(self) -> Self;
+    /// Bit `t` set iff lane `t` of `mask` is all-ones.
+    fn bits(mask: Self) -> u32;
+    /// The largest lane.
+    fn hmax(self) -> i16;
+
+    /// Bit `t` set iff lane `t` is live: live lanes hold at least the
+    /// threshold (≥ -xdrop), dead ones exactly [`NEG16`].
+    #[inline(always)]
+    fn live(self) -> u32 {
+        Self::bits(Self::splat(NEG16).lt(self))
+    }
 }
 
-impl SwarScratch {
-    /// A fresh scratch with empty buffers.
-    pub fn new() -> Self {
-        Self::default()
+/// A vector whose lane `t` is `f(t)` (truncated to `i16`).
+#[inline(always)]
+fn from_fn<L: Lanes>(f: impl Fn(usize) -> i32) -> L {
+    let mut l = [0i16; 16];
+    for (t, v) in l.iter_mut().enumerate().take(L::N) {
+        *v = f(t) as i16;
     }
+    L::load(&l)
+}
 
-    /// Make sure equality-table words `0..words` are built for this call.
-    #[inline]
-    fn build_eq_to(&mut self, b: &[u8], words: usize) {
-        while self.eq_built < words {
-            let w = self.eq_built;
-            let mut packed = [0u64; 4];
-            for t in 0..LANES {
-                let j = w * LANES + t;
-                // Column j consumes b[j - 1]; j == 0 and j > b.len() lanes
-                // stay zero in all four tables (scored as mismatch, and those
-                // cells are dead/outside the window anyway).
-                if j >= 1 && j <= b.len() {
-                    packed[b[j - 1] as usize] |= 0xFFFFu64 << (LANE_BITS as usize * t);
-                }
+/// Reusable buffers of the kernel at one lane width: the two row buffers
+/// plus the lazily built substitution-score tables of `b`.
+///
+/// Lane `t` of vector `w` always refers to absolute column `N·w + t`; the
+/// row buffers are indexed by absolute vector, so no per-row repacking
+/// happens — the live window just slides over them.
+#[derive(Debug)]
+pub(crate) struct LaneScratch<L> {
+    prev: Vec<L>,
+    cur: Vec<L>,
+    /// `score[c * stride + w]`: lane `t` holds the match score iff
+    /// `b[N·w + t - 1] == c`, the mismatch score otherwise (column 0 and
+    /// columns past `b` score as mismatches; those cells are dead or outside
+    /// the window anyway).  Built lazily as the band reaches new vectors, so
+    /// early-terminating extensions never pay for the full length of `b`.
+    score: Vec<L>,
+    stride: usize,
+    built: usize,
+}
+
+impl<L> Default for LaneScratch<L> {
+    fn default() -> Self {
+        Self { prev: Vec::new(), cur: Vec::new(), score: Vec::new(), stride: 0, built: 0 }
+    }
+}
+
+impl<L: Lanes> LaneScratch<L> {
+    /// Make sure score-table vectors `0..vectors` are built for this call.
+    #[inline(always)]
+    fn build_to(&mut self, b: &[u8], vectors: usize, scoring: ScoringScheme) {
+        while self.built < vectors {
+            let w = self.built;
+            let mut tables = [[scoring.mismatch as i16; 16]; 4];
+            // Column `first + t` is lane t and consumes b[first + t - 1].
+            let first = w * L::N;
+            for col in first.max(1)..(first + L::N).min(b.len() + 1) {
+                tables[b[col - 1] as usize][col - first] = scoring.match_score as i16;
             }
-            for (c, &pk) in packed.iter().enumerate() {
-                self.eq[c * self.eq_stride + w] = pk;
+            for (c, lanes) in tables.iter().enumerate() {
+                self.score[c * self.stride + w] = L::load(lanes);
             }
-            self.eq_built += 1;
+            self.built += 1;
         }
     }
 }
 
-/// SWAR twin of [`crate::xdrop::xdrop_extend_with`]: same two-phase x-drop
-/// semantics, bit-identical [`ExtendResult`], four cells per `u64`.
+/// Vector twin of [`crate::xdrop::xdrop_extend_with`]: same two-phase x-drop
+/// semantics, bit-identical [`ExtendResult`] and [`ExtendCounters`], `N`
+/// cells per vector.
 ///
-/// The caller must check [`swar_eligible`] first; the batched engine
-/// ([`crate::batch`]) does this and falls back to the scalar oracle.
-pub fn xdrop_extend_swar(
+/// The caller must check [`swar_eligible`] first; the batched engine does
+/// this and falls back to the scalar oracle.  Always inlined, so the AVX2
+/// instance compiles inside its `#[target_feature]` entry point.
+#[inline(always)]
+pub(crate) fn extend<L: Lanes>(
     a: &[u8],
     b: &[u8],
     scoring: ScoringScheme,
     xdrop: i32,
-    scratch: &mut SwarScratch,
+    s: &mut LaneScratch<L>,
     counters: &mut ExtendCounters,
 ) -> ExtendResult {
     debug_assert!(swar_eligible(scoring, xdrop));
     counters.calls += 1;
+    let n = L::N;
     let m = b.len();
-    // Words covering columns 0..=m, plus one guard word at the right so the
-    // row after a window ending at column m can still read a NEG word.
-    let nw = m / LANES + 2;
-    if scratch.prev.len() < nw {
-        scratch.prev.resize(nw, NEG_PAT);
-        scratch.cur.resize(nw, NEG_PAT);
+    // Vectors covering columns 0..=m, plus one guard vector at the right so
+    // the row after a window ending at column m can still read a NEG vector.
+    let nv = m / n + 2;
+    let neg = L::splat(NEG16);
+    if s.prev.len() < nv {
+        s.prev.resize(nv, neg);
+        s.cur.resize(nv, neg);
     }
-    if scratch.eq_stride < nw {
-        scratch.eq_stride = nw;
-        scratch.eq.clear();
-        scratch.eq.resize(4 * nw, 0);
+    if s.stride < nv {
+        s.stride = nv;
+        s.score.clear();
+        s.score.resize(4 * nv, neg);
     }
-    scratch.eq_built = 0;
+    s.built = 0;
 
-    let gap1 = splat(scoring.gap as i16);
-    let gap2 = splat((2 * scoring.gap) as i16);
-    // Cross-word scan carry ramp: lane t adds (t + 1) · gap to the carried
-    // run value from the previous word.
-    let ramp = {
-        let g = scoring.gap;
-        let mut w = 0u64;
-        for t in 0..LANES {
-            w |= ((((t as i32 + 1) * g) as i16) as u16 as u64) << (LANE_BITS as usize * t);
-        }
-        w
-    };
-    let match16 = splat(scoring.match_score as i16);
-    let mism16 = splat(scoring.mismatch as i16);
-    // sub = (match & eq) | (mism & !eq) rewritten as two ops per word.
-    let subdiff = match16 ^ mism16;
+    let gap = scoring.gap;
+    let gap1 = L::splat(gap as i16);
+    let steps =
+        [gap1, L::splat((2 * gap) as i16), L::splat((4 * gap) as i16), L::splat((8 * gap) as i16)];
+    // Cross-vector carry: lane t adds (t + 1)·gap to the previous vector's
+    // last lane, and the next carry is N·gap below the current one.
+    let ramp: L = from_fn(|t| (t as i32 + 1) * gap);
+    let gap_n = L::splat((n as i32 * gap) as i16);
+    let lane_index: L = from_fn(|t| t as i32);
 
     // Best score = base + best_rel; lanes store scores relative to `base`.
     let mut base = 0i64;
     let mut best_rel = 0i32;
     let (mut best_i, mut best_j) = (0usize, 0usize);
 
-    // Row 0: leading gaps in `a`; fills columns 0..=r0_hi (j·gap ≥ -xdrop).
-    // gap ≤ -1 so the row-0 width is at most xdrop + 1 ≪ i16 range.
-    let r0_width = ((xdrop / -scoring.gap) as usize + 1).min(m + 1);
-    let row0_we = (r0_width - 1) / LANES;
-    for w in 0..=row0_we {
-        let mut word = NEG_PAT;
-        for t in 0..LANES {
-            let j = w * LANES + t;
+    // Row 0: leading gaps in `a`; fills columns 0..r0_width (j·gap ≥ -xdrop).
+    let r0_width = ((xdrop / -gap) as usize + 1).min(m + 1);
+    let row0_we = (r0_width - 1) / n;
+    for (w, v) in s.prev[..=row0_we].iter_mut().enumerate() {
+        *v = from_fn(|t| {
+            let j = w * n + t;
             if j < r0_width {
-                word &= !(0xFFFFu64 << (LANE_BITS as usize * t));
-                word |= (((j as i32 * scoring.gap) as i16) as u16 as u64)
-                    << (LANE_BITS as usize * t);
+                j as i32 * gap
+            } else {
+                i32::from(NEG16)
             }
-        }
-        scratch.prev[w] = word;
+        });
     }
-    scratch.prev[row0_we + 1] = NEG_PAT;
+    s.prev[row0_we + 1] = neg;
     counters.cells += r0_width as u64;
     counters.band_peak = counters.band_peak.max(r0_width as u64);
 
@@ -241,88 +248,51 @@ pub fn xdrop_extend_swar(
     for i in 1..=a.len() {
         let wlo = lo;
         let whi = (hi + 1).min(m);
-        let ws = wlo / LANES;
-        let we = whi / LANES;
+        let (ws, we) = (wlo / n, whi / n);
         // best_rel ≤ REBASE_AT and xdrop ≤ 3000, so this fits an i16 lane.
-        let thr = splat((best_rel - xdrop) as i16);
-        let ai = a[i - 1] as usize;
-        scratch.build_eq_to(b, we + 1);
-        let eq_row = &scratch.eq[ai * scratch.eq_stride..(ai + 1) * scratch.eq_stride];
+        let thr = L::splat((best_rel - xdrop) as i16);
+        // Lanes past `whi` in the last vector must stay dead (a left-gap run
+        // can spill past the window's right edge): a threshold above every
+        // score kills them.  Lanes before `wlo` die on their own — their
+        // sources in the previous row are dead.
+        let past_whi = L::splat((whi - we * n) as i16).lt(lane_index);
+        let thr_last = L::select(past_whi, thr, L::splat(ABOVE_SCORES));
+        s.build_to(b, we + 1, scoring);
+        let row = a[i - 1] as usize * s.stride;
+        let score_row = &s.score[row + ws..=row + we];
 
-        // Keep masks for the boundary words: lanes outside [wlo, whi] must
-        // stay dead (a left-gap run can spill past the window's right edge).
-        let keep_lo = !0u64 << (LANE_BITS as usize * (wlo - ws * LANES));
-        let off_hi = whi - we * LANES;
-        let keep_hi = if off_hi < LANES - 1 {
-            !0u64 >> (LANE_BITS as usize * (LANES - 1 - off_hi))
-        } else {
-            !0u64
-        };
-
-        // One fused pass: diag/up candidates, the left-gap prefix scan,
-        // thresholding and boundary masks — with the row maximum and the
-        // live word extent folded in, so the finished row never needs to be
-        // re-read.  `carry` holds the pre-threshold run value of the last
-        // lane of the previous word (the scan is sequential across words,
-        // SWAR within).
-        let mut carry: i16 = NEG16;
-        let mut rowmax = NEG_PAT;
-        let mut first_w = usize::MAX;
-        let mut last_w = ws;
-        let mut pm1 = if ws == 0 { NEG_PAT } else { scratch.prev[ws - 1] };
-        // The fused pass walks prev/cur/eq_row in lockstep and needs `w` for
-        // the boundary compares; an iterator zip would obscure, not help.
-        #[allow(clippy::needless_range_loop)]
-        for w in ws..=we {
-            let p = scratch.prev[w];
-            // Column 4w+t's diagonal neighbour is column 4w+t-1 of the
-            // previous row: shift the band left by one lane across words.
-            let diag_src = (p << LANE_BITS) | (pm1 >> (64 - LANE_BITS));
+        // One fused pass: diag/up candidates, the left-gap prefix scan, the
+        // x-drop threshold and the row maximum.  `carry` is the pre-threshold
+        // run value of the previous vector's last lane, in every lane.
+        let mut pm1 = if ws == 0 { neg } else { s.prev[ws - 1] };
+        let mut carry = neg;
+        let mut rowmax = neg;
+        let (prev, cur) = (&s.prev[ws..=we], &mut s.cur[ws..=we]);
+        for (k, ((c, &p), &sub)) in cur.iter_mut().zip(prev).zip(score_row).enumerate() {
+            // Column N·w+t's diagonal neighbour is column N·w+t-1 of the
+            // previous row: shift the band up one lane across vectors.
+            let diag = p.shift_in(pm1).add(sub);
             pm1 = p;
-            let sub = mism16 ^ (subdiff & eq_row[w]);
-            let diag = add16(diag_src, sub);
-            let up = add16(p, gap1);
-            let tmp = max16(diag, up);
-
-            // Max-plus prefix scan for run[j] = max(tmp[j], run[j-1] + gap):
-            // two in-word log-steps, then the cross-word carry via the ramp.
-            let mut v = tmp;
-            let s1 = (v << LANE_BITS) | (NEG16 as u16 as u64);
-            v = max16(v, add16(s1, gap1));
-            let s2 = (v << (2 * LANE_BITS)) | (NEG_PAT >> (2 * LANE_BITS));
-            v = max16(v, add16(s2, gap2));
-            v = max16(v, add16(splat(carry), ramp));
-            carry = (v >> (64 - LANE_BITS)) as u16 as i16;
-
-            // Two-phase x-drop test against the previous rows' best.
-            let dead = lt16_mask(v, thr);
-            let mut word = (v & !dead) | (NEG_PAT & dead);
-            if w == ws {
-                word = (word & keep_lo) | (NEG_PAT & !keep_lo);
-            }
-            if w == we {
-                word = (word & keep_hi) | (NEG_PAT & !keep_hi);
-            }
-            scratch.cur[w] = word;
-            rowmax = max16(rowmax, word);
-            // Dead lanes hold the exact sentinel, so a word with any live
-            // lane differs from NEG_PAT as a whole u64.
-            if word != NEG_PAT {
-                if first_w == usize::MAX {
-                    first_w = w;
-                }
-                last_w = w;
-            }
+            let run = diag.max(p.add(gap1)).scan(&steps, neg);
+            let v = run.max(carry.add(ramp));
+            carry = run.last().max(carry.add(gap_n));
+            let t = if ws + k == we { thr_last } else { thr };
+            *c = L::select(v.lt(t), v, neg);
+            rowmax = rowmax.max(*c);
         }
-        // NEG fence words the next row's reads rely on.
-        scratch.cur[we + 1] = NEG_PAT;
+        // NEG fence vectors the next row's reads rely on.
+        s.cur[we + 1] = neg;
         if ws > 0 {
-            scratch.cur[ws - 1] = NEG_PAT;
+            s.cur[ws - 1] = neg;
         }
         counters.cells += (whi - wlo + 1) as u64;
         counters.band_peak = counters.band_peak.max((whi - wlo + 1) as u64);
 
-        if first_w == usize::MAX {
+        let mut first_w = ws;
+        while first_w <= we && s.cur[first_w].live() == 0 {
+            first_w += 1;
+        }
+        if first_w > we {
             counters.terminations += 1;
             return ExtendResult {
                 score: (base + i64::from(best_rel)) as i32,
@@ -330,78 +300,199 @@ pub fn xdrop_extend_swar(
                 ext_b: best_j,
             };
         }
+        let mut last_w = we;
+        while s.cur[last_w].live() == 0 {
+            last_w -= 1;
+        }
 
         // Fold the finished row into the best (first attainment in column
-        // order), only when some lane strictly improves on it.  best_rel ≥ 0
-        // always, so an improving row maximum is positive and the zero lanes
-        // shifted into the horizontal fold cannot win.
-        if lt16_mask(splat(best_rel as i16), rowmax) != 0 {
-            let fold = max16(rowmax, rowmax >> (2 * LANE_BITS));
-            let fold = max16(fold, fold >> LANE_BITS);
-            let row_best = lane(fold, 0);
-            'scan: for w in first_w..=last_w {
-                let word = scratch.cur[w];
-                if word == NEG_PAT {
-                    continue;
-                }
-                for t in 0..LANES {
-                    if lane(word, t) == row_best {
-                        best_rel = row_best;
-                        best_i = i;
-                        best_j = w * LANES + t;
-                        break 'scan;
-                    }
+        // order), only when some lane strictly improves on it.
+        let row_best = i32::from(rowmax.hmax());
+        if row_best > best_rel {
+            // Lanes above row_best - 1 are exactly the row maximum.
+            let below = L::splat((row_best - 1) as i16);
+            for w in first_w..=last_w {
+                let hits = L::bits(below.lt(s.cur[w]));
+                if hits != 0 {
+                    best_rel = row_best;
+                    best_i = i;
+                    best_j = w * n + hits.trailing_zeros() as usize;
+                    break;
                 }
             }
         }
 
-        // Trim: first/last live columns (value > NEG16 ⇔ not the sentinel —
-        // live lanes are ≥ thr ≥ -xdrop > NEG16), confined to the tracked
-        // boundary words.  No explicit re-pinning of the trimmed range is
-        // needed: every dead cell inside [wlo, whi] already holds the exact
-        // sentinel (the threshold select writes NEG_PAT lanes), and the
-        // boundary masks covered the lanes outside it.
-        let fword = scratch.cur[first_w];
-        let mut first = first_w * LANES;
-        for t in 0..LANES {
-            if lane(fword, t) > i32::from(NEG16) {
-                first = first_w * LANES + t;
-                break;
-            }
-        }
-        let lword = scratch.cur[last_w];
-        let mut last = last_w * LANES;
-        for t in (0..LANES).rev() {
-            if lane(lword, t) > i32::from(NEG16) {
-                last = last_w * LANES + t;
-                break;
-            }
-        }
-        lo = first;
-        hi = last;
-        std::mem::swap(&mut scratch.prev, &mut scratch.cur);
+        // Trim to the first/last live columns, which lie in the boundary
+        // vectors.  Every dead cell inside [wlo, whi] already holds the exact
+        // sentinel, so no re-pinning is needed.
+        lo = first_w * n + s.cur[first_w].live().trailing_zeros() as usize;
+        hi = last_w * n + (31 - s.cur[last_w].live().leading_zeros()) as usize;
+        std::mem::swap(&mut s.prev, &mut s.cur);
 
         // Rebase before the relative scores can outgrow i16.
         if best_rel > REBASE_AT {
-            let delta = best_rel;
-            let d16 = splat(delta as i16);
-            let wl = lo / LANES;
-            let wh = hi / LANES;
-            for w in wl..=wh {
-                let v = scratch.prev[w];
-                let shifted = sub16(v, d16);
+            let delta = L::splat(best_rel as i16);
+            let alive = L::splat(NEG16 + 1);
+            for v in &mut s.prev[lo / n..=hi / n] {
                 // Dead lanes must stay exactly at the sentinel.
-                let is_dead = !(lt16_mask(v, NEG_PAT) | lt16_mask(NEG_PAT, v));
-                scratch.prev[w] = (shifted & !is_dead) | (NEG_PAT & is_dead);
+                *v = L::select(v.lt(alive), v.sub(delta), neg);
             }
-            base += i64::from(delta);
+            base += i64::from(best_rel);
             best_rel = 0;
         }
     }
-    ExtendResult {
-        score: (base + i64::from(best_rel)) as i32,
-        ext_a: best_i,
-        ext_b: best_j,
+    ExtendResult { score: (base + i64::from(best_rel)) as i32, ext_a: best_i, ext_b: best_j }
+}
+
+/// Four `i16` lanes in one `u64` (lane `t` in bits `16t..16t+16`), with the
+/// classic carry-masked SWAR add/sub (Hacker's Delight §2-18): the portable
+/// impl for targets without a vector unit the kernel knows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Swar(u64);
+
+/// Per-lane sign bits, the carry fence of the SWAR add/sub.
+const SIGN: u64 = 0x8000_8000_8000_8000;
+const LOW: u64 = 0x0001_0001_0001_0001;
+
+impl Lanes for Swar {
+    const N: usize = 4;
+
+    #[inline(always)]
+    fn splat(x: i16) -> Self {
+        Swar((x as u16 as u64).wrapping_mul(LOW))
+    }
+
+    #[inline(always)]
+    fn load(l: &[i16; 16]) -> Self {
+        Swar(l[..4].iter().rev().fold(0, |w, &x| (w << 16) | x as u16 as u64))
+    }
+
+    #[inline(always)]
+    fn add(self, y: Self) -> Self {
+        Swar(((self.0 & !SIGN).wrapping_add(y.0 & !SIGN)) ^ ((self.0 ^ y.0) & SIGN))
+    }
+
+    #[inline(always)]
+    fn sub(self, y: Self) -> Self {
+        Swar(((self.0 | SIGN).wrapping_sub(y.0 & !SIGN)) ^ ((self.0 ^ !y.0) & SIGN))
+    }
+
+    #[inline(always)]
+    fn max(self, y: Self) -> Self {
+        Self::select(self.lt(y), self, y)
+    }
+
+    /// Exact while each lane difference fits in `i16`, which the eligibility
+    /// ranges plus rebasing guarantee.
+    #[inline(always)]
+    fn lt(self, y: Self) -> Self {
+        Swar(((self.sub(y).0 & SIGN) >> 15).wrapping_mul(0xFFFF))
+    }
+
+    #[inline(always)]
+    fn select(mask: Self, x: Self, y: Self) -> Self {
+        Swar((x.0 & !mask.0) | (y.0 & mask.0))
+    }
+
+    #[inline(always)]
+    fn shift_in(self, prev: Self) -> Self {
+        Swar((self.0 << 16) | (prev.0 >> 48))
+    }
+
+    #[inline(always)]
+    fn scan(self, steps: &[Self; 4], neg: Self) -> Self {
+        let v = self.max(Swar((self.0 << 16) | (neg.0 >> 48)).add(steps[0]));
+        v.max(Swar((v.0 << 32) | (neg.0 >> 32)).add(steps[1]))
+    }
+
+    #[inline(always)]
+    fn last(self) -> Self {
+        Swar((self.0 >> 48).wrapping_mul(LOW))
+    }
+
+    #[inline(always)]
+    fn bits(mask: Self) -> u32 {
+        let s = (mask.0 >> 15) & LOW;
+        ((s | s >> 15 | s >> 30 | s >> 45) & 0xF) as u32
+    }
+
+    #[inline(always)]
+    fn hmax(self) -> i16 {
+        let v = self.max(Swar(self.0.rotate_right(32)));
+        v.max(Swar(v.0.rotate_right(16))).0 as u16 as i16
+    }
+}
+
+/// Lane buffers of the widest kernel width this CPU runs, chosen once when
+/// the scratch is built.
+#[derive(Debug)]
+pub(crate) struct VectorScratch(Width);
+
+/// The kernel widths.  Private, so that only [`VectorScratch::with_lanes`]
+/// — which checks the CPU first — can build the AVX2 variant.
+#[derive(Debug)]
+enum Width {
+    Swar(LaneScratch<Swar>),
+    #[cfg(target_arch = "x86_64")]
+    Sse2(LaneScratch<crate::x86::Sse2>),
+    #[cfg(target_arch = "x86_64")]
+    Avx2(crate::x86::Avx2Scratch),
+}
+
+impl Default for VectorScratch {
+    /// The widest kernel this CPU runs.
+    fn default() -> Self {
+        [16, 8]
+            .into_iter()
+            .find_map(Self::with_lanes)
+            .unwrap_or(VectorScratch(Width::Swar(LaneScratch::default())))
+    }
+}
+
+impl VectorScratch {
+    /// The kernel with `lanes` lanes per vector, if this CPU runs it.
+    pub(crate) fn with_lanes(lanes: usize) -> Option<Self> {
+        let width = match lanes {
+            4 => Width::Swar(LaneScratch::default()),
+            #[cfg(target_arch = "x86_64")]
+            8 => Width::Sse2(LaneScratch::default()),
+            #[cfg(target_arch = "x86_64")]
+            16 if is_x86_feature_detected!("avx2") => Width::Avx2(Default::default()),
+            _ => return None,
+        };
+        Some(VectorScratch(width))
+    }
+
+    /// Name of the kernel width: `"avx2"`, `"sse2"` or `"swar"`.
+    pub(crate) fn name(&self) -> &'static str {
+        match self.0 {
+            Width::Swar(_) => "swar",
+            #[cfg(target_arch = "x86_64")]
+            Width::Sse2(_) => "sse2",
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2(_) => "avx2",
+        }
+    }
+
+    /// One eligible extension (see [`extend`]) through this width.
+    pub(crate) fn extend(
+        &mut self,
+        a: &[u8],
+        b: &[u8],
+        scoring: ScoringScheme,
+        xdrop: i32,
+        counters: &mut ExtendCounters,
+    ) -> ExtendResult {
+        match &mut self.0 {
+            Width::Swar(s) => extend(a, b, scoring, xdrop, s, counters),
+            #[cfg(target_arch = "x86_64")]
+            Width::Sse2(s) => extend(a, b, scoring, xdrop, s, counters),
+            // SAFETY: `with_lanes` builds the AVX2 variant only after
+            // `is_x86_feature_detected!("avx2")` returned true, and nothing
+            // else can build it (`Width` is private to this module).
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2(s) => unsafe { crate::x86::extend_avx2(a, b, scoring, xdrop, s, counters) },
+        }
     }
 }
 
@@ -410,74 +501,151 @@ mod tests {
     use super::*;
     use crate::xdrop::{xdrop_extend_with, XdropScratch};
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn swar(a: &[u8], b: &[u8], scoring: ScoringScheme, xdrop: i32) -> (ExtendResult, ExtendCounters) {
-        let mut scratch = SwarScratch::new();
-        let mut c = ExtendCounters::default();
-        let r = xdrop_extend_swar(a, b, scoring, xdrop, &mut scratch, &mut c);
-        (r, c)
-    }
+    /// Lanes per vector of every kernel width: SWAR, SSE2, AVX2.
+    const WIDTHS: [usize; 3] = [4, 8, 16];
 
-    fn scalar(a: &[u8], b: &[u8], scoring: ScoringScheme, xdrop: i32) -> (ExtendResult, ExtendCounters) {
-        let mut scratch = XdropScratch::new();
-        let mut c = ExtendCounters::default();
-        let r = xdrop_extend_with(a, b, scoring, xdrop, &mut scratch, &mut c);
-        (r, c)
-    }
-
-    #[test]
-    fn lane_arithmetic_is_exact() {
-        let x = splat(-1234);
-        let y = splat(700);
-        assert_eq!(lane(add16(x, y), 2), -534);
-        assert_eq!(lane(sub16(x, y), 0), -1934);
-        assert_eq!(max16(x, y), splat(700));
-        // Mixed lanes: pack (-3, 5, -16384, 4096) and add 3 everywhere.
-        let mixed = (-3i16 as u16 as u64)
-            | ((5u16 as u64) << 16)
-            | ((NEG16 as u16 as u64) << 32)
-            | ((4096u16 as u64) << 48);
-        let r = add16(mixed, splat(3));
-        assert_eq!(lane(r, 0), 0);
-        assert_eq!(lane(r, 1), 8);
-        assert_eq!(lane(r, 2), -16381);
-        assert_eq!(lane(r, 3), 4099);
-    }
-
-    #[test]
-    fn identical_sequences_match_scalar() {
-        let a: Vec<u8> = (0..100).map(|i| (i % 4) as u8).collect();
-        let sc = ScoringScheme::default();
-        assert_eq!(swar(&a, &a, sc, 10).0, scalar(&a, &a, sc, 10).0);
-        assert_eq!(swar(&a, &a, sc, 10).0.score, 100);
-    }
-
-    #[test]
-    fn counters_match_scalar() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let a: Vec<u8> = (0..300).map(|_| rng.gen_range(0..4u8)).collect();
-        let mut b = a.clone();
-        for idx in (0..b.len()).step_by(17) {
-            b[idx] = (b[idx] + 1) % 4;
+    /// The kernel at `lanes` lanes, or `None` — saying why — when this host
+    /// cannot run it (no AVX2, or not x86-64).
+    fn kernel(lanes: usize) -> Option<VectorScratch> {
+        let k = VectorScratch::with_lanes(lanes);
+        if k.is_none() {
+            eprintln!("skipping the {lanes}-lane kernel: this CPU or target does not run it");
         }
-        let sc = ScoringScheme::default();
-        let (rs, cs) = swar(&a, &b, sc, 30);
-        let (rr, cr) = scalar(&a, &b, sc, 30);
-        assert_eq!(rs, rr);
-        assert_eq!(cs, cr, "both engines walk the same adaptive band");
+        k
+    }
+
+    fn vector(
+        k: &mut VectorScratch,
+        a: &[u8],
+        b: &[u8],
+        sc: ScoringScheme,
+        xdrop: i32,
+    ) -> (ExtendResult, ExtendCounters) {
+        let mut c = ExtendCounters::default();
+        let r = k.extend(a, b, sc, xdrop, &mut c);
+        (r, c)
+    }
+
+    fn scalar(a: &[u8], b: &[u8], sc: ScoringScheme, xdrop: i32) -> (ExtendResult, ExtendCounters) {
+        let mut c = ExtendCounters::default();
+        let r = xdrop_extend_with(a, b, sc, xdrop, &mut XdropScratch::new(), &mut c);
+        (r, c)
+    }
+
+    /// A random `a` and a `b` copied from its prefix (so extensions go deep),
+    /// padded with random bases and then mutated at `error_pct` percent.
+    fn related_pair(
+        rng: &mut SmallRng,
+        len_a: usize,
+        len_b: usize,
+        error_pct: u32,
+    ) -> (Vec<u8>, Vec<u8>) {
+        let a: Vec<u8> = (0..len_a).map(|_| rng.gen_range(0..4u8)).collect();
+        let mut b: Vec<u8> = a.iter().take(len_b).copied().collect();
+        while b.len() < len_b {
+            b.push(rng.gen_range(0..4u8));
+        }
+        for v in b.iter_mut() {
+            if rng.gen_range(0..100u32) < error_pct {
+                *v = rng.gen_range(0..4u8);
+            }
+        }
+        (a, b)
+    }
+
+    /// The tentpole invariant at one width: the kernel and the scalar oracle
+    /// are bit-identical over random sequences, scoring schemes and xdrops —
+    /// results AND counters.
+    fn agrees_with_oracle(
+        lanes: usize,
+        seed: u64,
+        (len_a, len_b): (usize, usize),
+        error_pct: u32,
+        sc: ScoringScheme,
+        xdrop: i32,
+    ) -> Result<(), TestCaseError> {
+        let Some(mut k) = kernel(lanes) else { return Ok(()) };
+        let (a, b) = related_pair(&mut SmallRng::seed_from_u64(seed), len_a, len_b, error_pct);
+        prop_assert!(swar_eligible(sc, xdrop));
+        prop_assert_eq!(vector(&mut k, &a, &b, sc, xdrop), scalar(&a, &b, sc, xdrop));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // Lengths up to 600 and xdrops up to 300 make bands span many
+        // vectors at every width (≥ 4 AVX2 vectors at gap -1, xdrop ≥ 32).
+        #[test]
+        fn swar_matches_scalar_oracle(
+            seed in 0u64..1_000_000,
+            lens in (0usize..600, 0usize..600),
+            error_pct in 0u32..50,
+            scores in (1i32..8, -8i32..=0, -8i32..=-1),
+            xdrop in 0i32..300,
+        ) {
+            let sc = ScoringScheme { match_score: scores.0, mismatch: scores.1, gap: scores.2 };
+            agrees_with_oracle(4, seed, lens, error_pct, sc, xdrop)?;
+        }
+
+        #[test]
+        fn sse2_matches_scalar_oracle(
+            seed in 0u64..1_000_000,
+            lens in (0usize..600, 0usize..600),
+            error_pct in 0u32..50,
+            scores in (1i32..8, -8i32..=0, -8i32..=-1),
+            xdrop in 0i32..300,
+        ) {
+            let sc = ScoringScheme { match_score: scores.0, mismatch: scores.1, gap: scores.2 };
+            agrees_with_oracle(8, seed, lens, error_pct, sc, xdrop)?;
+        }
+
+        #[test]
+        fn avx2_matches_scalar_oracle(
+            seed in 0u64..1_000_000,
+            lens in (0usize..600, 0usize..600),
+            error_pct in 0u32..50,
+            scores in (1i32..8, -8i32..=0, -8i32..=-1),
+            xdrop in 0i32..300,
+        ) {
+            let sc = ScoringScheme { match_score: scores.0, mismatch: scores.1, gap: scores.2 };
+            agrees_with_oracle(16, seed, lens, error_pct, sc, xdrop)?;
+        }
+
+        // Every width agrees with every other, and a scratch reused across
+        // calls of wildly different shapes never leaks state between
+        // extensions.
+        #[test]
+        fn widths_agree_with_reused_scratch(seed in 0u64..100_000) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut kernels: Vec<VectorScratch> = WIDTHS.into_iter().filter_map(kernel).collect();
+            let sc = ScoringScheme::default();
+            for _ in 0..6 {
+                let (la, lb) = (rng.gen_range(0..300), rng.gen_range(0..300));
+                let (a, b) = related_pair(&mut rng, la, lb, 10);
+                let xdrop = rng.gen_range(0..100);
+                let expected = scalar(&a, &b, sc, xdrop);
+                for k in &mut kernels {
+                    prop_assert_eq!(vector(k, &a, &b, sc, xdrop), expected, "{} lanes", k.name());
+                }
+            }
+        }
     }
 
     #[test]
     fn long_perfect_match_crosses_the_i16_rebase_boundary() {
-        // Score grows to 20k ≫ i16::MAX/2: exercises repeated rebasing.
+        // Score grows to 60k ≫ i16::MAX: exercises repeated rebasing.
         let a: Vec<u8> = (0..20_000).map(|i| ((i * 7 + 3) % 4) as u8).collect();
         let sc = ScoringScheme { match_score: 3, mismatch: -2, gap: -2 };
-        let r = swar(&a, &a, sc, 40).0;
-        assert_eq!(r, scalar(&a, &a, sc, 40).0);
-        assert_eq!(r.score, 60_000);
-        assert_eq!(r.ext_a, 20_000);
+        let expected = scalar(&a, &a, sc, 40);
+        assert_eq!(expected.0, ExtendResult { score: 60_000, ext_a: 20_000, ext_b: 20_000 });
+        for mut k in WIDTHS.into_iter().filter_map(kernel) {
+            assert_eq!(vector(&mut k, &a, &a, sc, 40), expected, "{} lanes", k.name());
+        }
     }
 
     #[test]
@@ -492,7 +660,26 @@ mod tests {
         b.remove(1000);
         b.insert(3000, 2);
         let sc = ScoringScheme { match_score: 5, mismatch: -4, gap: -3 };
-        assert_eq!(swar(&a, &b, sc, 200).0, scalar(&a, &b, sc, 200).0);
+        let expected = scalar(&a, &b, sc, 200);
+        for mut k in WIDTHS.into_iter().filter_map(kernel) {
+            assert_eq!(vector(&mut k, &a, &b, sc, 200), expected, "{} lanes", k.name());
+        }
+    }
+
+    #[test]
+    fn swar_lane_arithmetic_is_exact() {
+        let lane = |w: Swar, t: usize| (w.0 >> (16 * t)) as u16 as i16;
+        let (x, y) = (Swar::splat(-1234), Swar::splat(700));
+        assert_eq!(lane(x.add(y), 2), -534);
+        assert_eq!(lane(x.sub(y), 0), -1934);
+        assert_eq!(x.max(y).0, y.0);
+        let mut l = [0i16; 16];
+        l[..4].copy_from_slice(&[-3, 5, NEG16, 4096]);
+        let r = Swar::load(&l).add(Swar::splat(3));
+        assert_eq!([0, 1, 2, 3].map(|t| lane(r, t)), [0, 8, -16381, 4099]);
+        assert_eq!(Swar::load(&l).hmax(), 4096);
+        assert_eq!(Swar::load(&l).live(), 0b1011);
+        assert_eq!(lane(Swar::load(&l).last(), 1), 4096);
     }
 
     #[test]
@@ -507,63 +694,5 @@ mod tests {
         assert!(!swar_eligible(ScoringScheme { mismatch: 1, ..d }, 49));
         assert!(!swar_eligible(ScoringScheme { gap: 0, ..d }, 49));
         assert!(!swar_eligible(ScoringScheme { gap: -64, ..d }, 49));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        // The tentpole invariant: SWAR and the scalar oracle are
-        // bit-identical over random sequences, scoring schemes and xdrops.
-        #[test]
-        fn swar_matches_scalar_oracle(
-            seed in 0u64..1_000_000,
-            len_a in 0usize..400,
-            len_b in 0usize..400,
-            error_pct in 0u32..50,
-            match_score in 1i32..8,
-            mismatch in -8i32..=0,
-            gap in -8i32..=-1,
-            xdrop in 0i32..120,
-        ) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let a: Vec<u8> = (0..len_a).map(|_| rng.gen_range(0..4u8)).collect();
-            // b: a mutated copy of a (prefix-correlated) so extensions go deep.
-            let mut b: Vec<u8> = a.iter().take(len_b).copied().collect();
-            while b.len() < len_b {
-                b.push(rng.gen_range(0..4u8));
-            }
-            for v in b.iter_mut() {
-                if rng.gen_range(0..100u32) < error_pct {
-                    *v = rng.gen_range(0..4u8);
-                }
-            }
-            let sc = ScoringScheme { match_score, mismatch, gap };
-            prop_assert!(swar_eligible(sc, xdrop));
-            let (rs, cs) = swar(&a, &b, sc, xdrop);
-            let (rr, cr) = scalar(&a, &b, sc, xdrop);
-            prop_assert_eq!(rs, rr);
-            prop_assert_eq!(cs, cr);
-        }
-
-        // Scratch reuse across calls of wildly different shapes never leaks
-        // state between extensions.
-        #[test]
-        fn scratch_reuse_is_stateless(seed in 0u64..100_000) {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut scratch = SwarScratch::new();
-            let sc = ScoringScheme::default();
-            for _ in 0..8 {
-                let la = rng.gen_range(0..200);
-                let lb = rng.gen_range(0..200);
-                let a: Vec<u8> = (0..la).map(|_| rng.gen_range(0..4u8)).collect();
-                let mut b: Vec<u8> = a.iter().take(lb).copied().collect();
-                while b.len() < lb { b.push(rng.gen_range(0..4u8)); }
-                let xdrop = rng.gen_range(0..60);
-                let mut c = ExtendCounters::default();
-                let reused = xdrop_extend_swar(&a, &b, sc, xdrop, &mut scratch, &mut c);
-                let fresh = swar(&a, &b, sc, xdrop).0;
-                prop_assert_eq!(reused, fresh);
-            }
-        }
     }
 }

@@ -42,8 +42,14 @@ fn steady_state_alignment_allocates_nothing() {
 
     let mut scratch = AlignScratch::new();
     let mut cache = OrientCache::new();
+    // `Auto` below runs the widest kernel this CPU has, so on an AVX2 host
+    // this pins the AVX2 scratch.
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        assert_eq!(scratch.vector_kernel(), "avx2");
+    }
 
-    // Warm-up: grows the DP buffers, equality tables, reversed-prefix
+    // Warm-up: grows the DP buffers, score tables, reversed-prefix
     // buffers and the orientation cache to their steady-state sizes (the
     // same work shapes the steady loop replays).
     for seed_off in [0usize, 37, 113, 271] {

@@ -3,8 +3,9 @@
 //!
 //! The JSON artifact pits the batched alignment path (`align_pairs_exec`,
 //! the phase runner of `align_candidates_exec`: flat (pair, seed) work
-//! queue, per-worker scratch, lane-packed vector kernel — SSE2 on x86-64,
-//! u64 SWAR elsewhere — under `ExtendEngine::Auto`) against a faithful
+//! queue, per-worker scratch, lane-packed vector kernel at the widest width
+//! the CPU runs — AVX2, SSE2 or u64 SWAR — under `ExtendEngine::Auto`,
+//! recorded as `vector_kernel`) against a faithful
 //! reconstruction of the **pre-batching** stage — a per-pair loop that
 //! clones / reverse complements `h` for *every* seed and extends with the
 //! preserved `xdrop_extend_baseline` (per-row `Vec` churn) — on the
@@ -73,7 +74,7 @@ fn bench_alignment(c: &mut Criterion) {
 
     // Raw extension throughput on identical sequences (upper bound), for the
     // scalar oracle, the preserved pre-refactor baseline and the vector
-    // kernel (SSE2 on x86-64, SWAR elsewhere).
+    // kernel (the widest width the CPU runs).
     let mut rng = SmallRng::seed_from_u64(5);
     let s = DnaSeq::from_codes((0..10_000).map(|_| rng.gen_range(0..4u8)).collect());
     group.bench_function("xdrop_extend_identical_10k", |bencher| {
@@ -199,18 +200,11 @@ fn baseline_align_candidates(
 /// fine interactively, far past a CI budget.
 const PAIR_STRIDE: usize = 32;
 
-/// Which lane-packed kernel `ExtendEngine::Auto` dispatches to on this
-/// target.
-#[cfg(target_arch = "x86_64")]
-const VECTOR_KERNEL: &str = "sse2";
-/// Which lane-packed kernel `ExtendEngine::Auto` dispatches to on this
-/// target.
-#[cfg(not(target_arch = "x86_64"))]
-const VECTOR_KERNEL: &str = "swar";
-
 /// The engine-regression comparison recorded as `BENCH_align.json`.
 fn baseline_comparison() {
     let budget = Duration::from_millis(600);
+    // The lane width `ExtendEngine::Auto` selects on this CPU.
+    let kernel = AlignScratch::new().vector_kernel();
 
     // The real workload: the candidate pairs of the Small benchmark dataset
     // (the same candidates the pipeline's alignment stage receives),
@@ -267,7 +261,7 @@ fn baseline_comparison() {
          {total_pairs} candidate pairs)"
     );
     println!(
-        "  reads={} sampled_pairs={} aligned_pairs={} extensions={} ({} {VECTOR_KERNEL} / {} scalar)",
+        "  reads={} sampled_pairs={} aligned_pairs={} extensions={} ({} {kernel} / {} scalar)",
         ds.reads.len(),
         sampled_pairs,
         aligned_pairs,
@@ -288,7 +282,7 @@ fn baseline_comparison() {
         scalar_secs * 1e3
     );
     println!(
-        "  batched, {VECTOR_KERNEL} (Auto):     {:>10.3} ms  ({batched_rate:.1} Mcells/s, {speedup:.2}x)",
+        "  batched, {kernel} (Auto):     {:>10.3} ms  ({batched_rate:.1} Mcells/s, {speedup:.2}x)",
         batched_secs * 1e3
     );
 
@@ -322,7 +316,7 @@ fn baseline_comparison() {
         ),
         dataset = DatasetSpec::Small.label(),
         threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        kernel = VECTOR_KERNEL,
+        kernel = kernel,
         reads = ds.reads.len(),
         total = total_pairs,
         stride = PAIR_STRIDE,

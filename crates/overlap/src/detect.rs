@@ -284,13 +284,13 @@ impl<'a> AlignWorker<'a> {
 
 impl Drop for AlignWorker<'_> {
     fn drop(&mut self) {
-        let c = &self.scratch.counters;
+        let c = self.scratch.counters();
         self.shared.cells.fetch_add(c.cells, Ordering::Relaxed);
         self.shared.band_peak.fetch_max(c.band_peak, Ordering::Relaxed);
         self.shared.terminations.fetch_add(c.terminations, Ordering::Relaxed);
         self.shared.calls.fetch_add(c.calls, Ordering::Relaxed);
-        self.shared.simd.fetch_add(self.scratch.simd_calls, Ordering::Relaxed);
-        self.shared.scalar.fetch_add(self.scratch.scalar_calls, Ordering::Relaxed);
+        self.shared.simd.fetch_add(self.scratch.simd_calls(), Ordering::Relaxed);
+        self.shared.scalar.fetch_add(self.scratch.scalar_calls(), Ordering::Relaxed);
         self.shared.rc.fetch_add(self.orient.rc_computed, Ordering::Relaxed);
     }
 }
