@@ -1,7 +1,10 @@
-//! Criterion micro-benchmarks for the two-pass distributed k-mer counter.
+//! Criterion micro-benchmarks for the exact-path index stage: the two-pass
+//! distributed k-mer counter and the construction of `A` from its table —
+//! together, the `index` row of the repository benchmark (perfbench).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dibella_dist::CommStats;
+use dibella_dist::{CommStats, ProcessGrid};
+use dibella_overlap::build_a_matrix;
 use dibella_seq::{count_kmers_distributed, count_kmers_serial, DatasetSpec, KmerSelection};
 
 fn bench_kmer_counting(c: &mut Criterion) {
@@ -22,6 +25,13 @@ fn bench_kmer_counting(c: &mut Criterion) {
             })
         });
     }
+    // `A` over a 4 x 4 grid with 16 construction ranks, as the pipeline
+    // builds it.
+    let table = count_kmers_distributed(&ds.reads, &selection, 16, &CommStats::new());
+    let grid = ProcessGrid::square(16);
+    group.bench_function("build_a_matrix/16", |bencher| {
+        bencher.iter(|| build_a_matrix(&ds.reads, &table, selection.k, grid, 16))
+    });
     group.finish();
 }
 

@@ -31,19 +31,22 @@ pub fn words_of<T>() -> u64 {
 /// skew show up — is folded into the phase's
 /// [`max_words_per_rank`](crate::PhaseCounters::max_words_per_rank).
 ///
+/// Buffers move destination by destination, each receive buffer sized
+/// exactly, so besides the send side at most one receive buffer's worth of
+/// data is resident at a time.
+///
 /// # Panics
 /// Panics if any `send[src]` does not have exactly one buffer per rank.
 pub fn alltoallv_counted<T>(
-    send: Vec<Vec<Vec<T>>>,
+    mut send: Vec<Vec<Vec<T>>>,
     stats: &CommStats,
     phase: CommPhase,
     words_per_item: u64,
 ) -> Vec<Vec<T>> {
     let nprocs = send.len();
-    let mut recv: Vec<Vec<T>> = (0..nprocs).map(|_| Vec::new()).collect();
     let mut words_received = vec![0u64; nprocs];
     let mut words_sent_by_rank = vec![0u64; nprocs];
-    for (src, buffers) in send.into_iter().enumerate() {
+    for (src, buffers) in send.iter().enumerate() {
         assert_eq!(
             buffers.len(),
             nprocs,
@@ -52,14 +55,13 @@ pub fn alltoallv_counted<T>(
         );
         let mut words_sent = 0u64;
         let mut messages_sent = 0u64;
-        for (dst, buffer) in buffers.into_iter().enumerate() {
+        for (dst, buffer) in buffers.iter().enumerate() {
             if dst != src && !buffer.is_empty() {
                 let words = buffer.len() as u64 * words_per_item;
                 words_sent += words;
                 words_received[dst] += words;
                 messages_sent += 1;
             }
-            recv[dst].extend(buffer);
         }
         words_sent_by_rank[src] = words_sent;
         if words_sent > 0 || messages_sent > 0 {
@@ -73,7 +75,15 @@ pub fn alltoallv_counted<T>(
         }
     }
     stats.trace_alltoallv(phase, nprocs, &words_sent_by_rank);
-    recv
+    (0..nprocs)
+        .map(|dst| {
+            let mut recv = Vec::with_capacity(send.iter().map(|buffers| buffers[dst].len()).sum());
+            for buffers in &mut send {
+                recv.extend(std::mem::take(&mut buffers[dst]));
+            }
+            recv
+        })
+        .collect()
 }
 
 /// Account for one simulated broadcast of `words` words from one rank to the

@@ -17,9 +17,9 @@
 //!   actually move; instead every collective **records** the words and
 //!   messages a real MPI run would have moved.  Those volumes are the
 //!   measured quantity the paper's Table I cost model is checked against;
-//! * [`par_ranks`] / [`par_ranks_mut`] — run a closure for every virtual rank
-//!   in parallel on scoped OS threads (the shared-memory stand-in for "every
-//!   rank computes its block");
+//! * [`par_ranks`] / [`par_ranks_mut`] / [`par_ranks_into`] — run a closure
+//!   for every virtual rank in parallel on scoped OS threads (the
+//!   shared-memory stand-in for "every rank computes its block");
 //! * [`collectives`] — simulated `MPI_Alltoallv` ([`alltoallv_counted`]) and
 //!   broadcast ([`collectives::record_broadcast`]) with exact volume
 //!   accounting.
@@ -69,5 +69,5 @@ pub mod trace;
 pub use collectives::{alltoallv_counted, record_broadcast, record_p2p, words_of};
 pub use comm::{CommPhase, CommSnapshot, CommStats, PhaseCounters};
 pub use grid::{BlockDist, ProcessGrid};
-pub use par::{par_ranks, par_ranks_mut, with_threads};
+pub use par::{par_ranks, par_ranks_into, par_ranks_mut, with_threads};
 pub use trace::{verify_spmd, CollectiveEvent, CollectiveKind, CollectiveTrace, SpmdDivergence};

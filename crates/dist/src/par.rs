@@ -42,6 +42,21 @@ where
     pool::for_each_mut(items, f)
 }
 
+/// Evaluate `f(rank, items[rank])` for every element, in parallel, consuming
+/// `items` (each element is moved into its call, never cloned) and returning
+/// the results in rank order.
+pub fn par_ranks_into<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, T) -> U + Sync,
+{
+    let mut slots: Vec<(Option<T>, Option<U>)> =
+        items.into_iter().map(|item| (Some(item), None)).collect();
+    par_ranks_mut(&mut slots, |rank, (item, out)| *out = item.take().map(|item| f(rank, item)));
+    slots.into_iter().filter_map(|(_, out)| out).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,6 +67,16 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             let got = with_threads(threads, || par_ranks(17, |rank| rank * rank));
             let want: Vec<usize> = (0..17).map(|r| r * r).collect();
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_ranks_into_moves_each_item_and_keeps_rank_order() {
+        for threads in [1usize, 3] {
+            let items: Vec<Vec<usize>> = (0..9).map(|r| vec![r; r]).collect();
+            let got = with_threads(threads, || par_ranks_into(items, |rank, v| (rank, v.len())));
+            let want: Vec<(usize, usize)> = (0..9).map(|r| (r, r)).collect();
             assert_eq!(got, want, "threads={threads}");
         }
     }

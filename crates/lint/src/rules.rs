@@ -57,7 +57,7 @@ impl FileContext<'_> {
 
 /// Crates whose output must be bit-identical: no unordered iteration.
 pub const DETERMINISTIC_CRATES: &[&str] =
-    &["sparse", "overlap", "sketch", "strgraph", "dist", "pipeline"];
+    &["seq", "sparse", "overlap", "sketch", "strgraph", "dist", "pipeline"];
 
 /// Crates whose library code feeds the pipeline and must return `Err`
 /// instead of panicking.

@@ -5,6 +5,7 @@
 //! no false negatives; a k-mer is only inserted into the counting hash table
 //! the second time it is seen, so true singletons never occupy table memory.
 
+use crate::kmer::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// A fixed-size Bloom filter over 64-bit keys.
@@ -38,25 +39,32 @@ impl BloomFilter {
         Self { bits: vec![0u64; words], nbits, nhashes, inserted: 0 }
     }
 
-    fn positions(&self, key: u64) -> impl Iterator<Item = u64> + '_ {
-        // Double hashing (Kirsch–Mitzenmacher): h_i = h1 + i·h2.
-        let h1 = splitmix(key);
-        let h2 = splitmix(key ^ 0x9E3779B97F4A7C15) | 1;
-        (0..self.nhashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2))) % self.nbits)
+    /// The two base hashes of double hashing (Kirsch–Mitzenmacher): probe
+    /// `i` is `h1 + i·h2`.
+    #[inline]
+    fn base_hashes(key: u64) -> (u64, u64) {
+        (splitmix64(key), splitmix64(key ^ 0x9E3779B97F4A7C15) | 1)
+    }
+
+    /// Word index and bit mask of probe `i`, reduced to `[0, nbits)` by a
+    /// multiply-shift (Lemire's fast range): one multiply, no division.
+    #[inline]
+    fn probe(&self, (h1, h2): (u64, u64), i: u64) -> (usize, u64) {
+        let h = h1.wrapping_add(i.wrapping_mul(h2));
+        let pos = ((u128::from(h) * u128::from(self.nbits)) >> 64) as u64;
+        ((pos / 64) as usize, 1u64 << (pos % 64))
     }
 
     /// Insert a key; returns `true` if the key **might** have been present
     /// already (all bits were set), `false` if it was definitely new.
+    #[inline]
     pub fn insert(&mut self, key: u64) -> bool {
+        let hashes = Self::base_hashes(key);
         let mut already = true;
-        let positions: Vec<u64> = self.positions(key).collect();
-        for pos in positions {
-            let word = (pos / 64) as usize;
-            let bit = 1u64 << (pos % 64);
-            if self.bits[word] & bit == 0 {
-                already = false;
-                self.bits[word] |= bit;
-            }
+        for i in 0..u64::from(self.nhashes) {
+            let (word, bit) = self.probe(hashes, i);
+            already &= self.bits[word] & bit != 0;
+            self.bits[word] |= bit;
         }
         self.inserted += 1;
         already
@@ -65,9 +73,10 @@ impl BloomFilter {
     /// Whether the key might have been inserted (false positives possible,
     /// false negatives impossible).
     pub fn contains(&self, key: u64) -> bool {
-        self.positions(key).all(|pos| {
-            let word = (pos / 64) as usize;
-            self.bits[word] & (1u64 << (pos % 64)) != 0
+        let hashes = Self::base_hashes(key);
+        (0..u64::from(self.nhashes)).all(|i| {
+            let (word, bit) = self.probe(hashes, i);
+            self.bits[word] & bit != 0
         })
     }
 
@@ -167,13 +176,6 @@ impl ScalableBloom {
     }
 }
 
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,12 +203,12 @@ mod tests {
     fn false_positive_rate_is_roughly_as_configured() {
         let mut bf = BloomFilter::with_rate(10_000, 0.01);
         for key in 0..10_000u64 {
-            bf.insert(splitmix(key));
+            bf.insert(splitmix64(key));
         }
         let mut false_positives = 0;
         let probes = 10_000u64;
         for key in 0..probes {
-            if bf.contains(splitmix(key + 1_000_000)) {
+            if bf.contains(splitmix64(key + 1_000_000)) {
                 false_positives += 1;
             }
         }
@@ -252,12 +254,12 @@ mod tests {
         // second insert of every key must report "seen".
         let mut sb = ScalableBloom::with_rate(64, 0.01);
         for key in 0..10_000u64 {
-            sb.insert(splitmix(key));
+            sb.insert(splitmix64(key));
         }
         assert!(sb.stages() > 1, "filter must have scaled");
         for key in 0..10_000u64 {
-            assert!(sb.contains(splitmix(key)), "no false negatives after scaling");
-            assert!(sb.insert(splitmix(key)), "re-insert must report seen");
+            assert!(sb.contains(splitmix64(key)), "no false negatives after scaling");
+            assert!(sb.insert(splitmix64(key)), "re-insert must report seen");
         }
         assert!(sb.resident_bytes() > 0);
     }
@@ -276,12 +278,12 @@ mod tests {
         // must stay near the configured 1%, not degrade per stage.
         let mut sb = ScalableBloom::with_rate(64, 0.01);
         for key in 0..20_000u64 {
-            sb.insert(splitmix(key));
+            sb.insert(splitmix64(key));
         }
         let mut false_positives = 0;
         let probes = 20_000u64;
         for key in 0..probes {
-            if sb.contains(splitmix(key + 10_000_000)) {
+            if sb.contains(splitmix64(key + 10_000_000)) {
                 false_positives += 1;
             }
         }

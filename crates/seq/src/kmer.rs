@@ -91,11 +91,24 @@ impl Kmer {
     /// A well-mixed 64-bit hash of the packed value (splitmix64), used to
     /// assign k-mers to owner ranks uniformly as the paper assumes.
     pub fn hash64(&self) -> u64 {
-        let mut z = self.packed.wrapping_add(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        splitmix64(self.packed)
     }
+
+    /// A k-mer from an already packed value; the caller guarantees `packed`
+    /// fits in `2·k` bits.
+    pub(crate) fn from_packed(packed: u64, k: usize) -> Self {
+        debug_assert!((1..=MAX_K).contains(&k) && packed >> (2 * k) == 0);
+        Self { packed, k: k as u8 }
+    }
+}
+
+/// The splitmix64 finaliser: [`Kmer::hash64`] of a packed k-mer, and the
+/// Bloom filter's probe hash.
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
 }
 
 impl fmt::Display for Kmer {
@@ -151,6 +164,74 @@ impl Iterator for KmerIter<'_> {
         (remaining, Some(remaining))
     }
 }
+
+/// Rolling iterator over the canonical k-mers of a sequence with their start
+/// positions: the same items as [`KmerIter`] followed by
+/// [`Kmer::canonical`], at O(1) work per window.
+///
+/// It keeps the forward and the reverse-complement packed words and updates
+/// both by one base per step, where `KmerIter` packs every window from
+/// scratch and `canonical` reverses it again.  The k-mer counter, the `A`
+/// builder and the sketch hashes all scan reads through it.
+pub struct CanonicalKmers<'a> {
+    codes: &'a [u8],
+    k: usize,
+    /// Index of the next base to shift in.
+    end: usize,
+    fwd: u64,
+    rev: u64,
+    mask: u64,
+}
+
+impl<'a> CanonicalKmers<'a> {
+    /// Iterate over the canonical k-mers of `seq`.
+    ///
+    /// # Panics
+    /// Panics if `k` is 0 or exceeds [`MAX_K`].
+    pub fn new(seq: &'a DnaSeq, k: usize) -> Self {
+        assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
+        let mut it =
+            Self { codes: seq.codes(), k, end: 0, fwd: 0, rev: 0, mask: (1u64 << (2 * k)) - 1 };
+        // Prime the first k-1 bases; each `next` then completes one window.
+        while it.end + 1 < k && it.end < it.codes.len() {
+            it.shift_in(it.codes[it.end]);
+            it.end += 1;
+        }
+        it
+    }
+
+    #[inline]
+    fn shift_in(&mut self, code: u8) {
+        debug_assert!(code < 4, "invalid 2-bit code {code}");
+        let c = u64::from(code & 3);
+        self.fwd = ((self.fwd << 2) | c) & self.mask;
+        self.rev = (self.rev >> 2) | ((3 - c) << (2 * (self.k - 1)));
+    }
+}
+
+impl Iterator for CanonicalKmers<'_> {
+    /// `(start position, canonical k-mer)`
+    type Item = (usize, CanonicalKmer);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let &code = self.codes.get(self.end)?;
+        self.shift_in(code);
+        self.end += 1;
+        // Ties (palindromes) count as forward, as in `Kmer::canonical`.
+        let (packed, was_forward) =
+            if self.fwd <= self.rev { (self.fwd, true) } else { (self.rev, false) };
+        let kmer = Kmer { packed, k: self.k as u8 };
+        Some((self.end - self.k, CanonicalKmer { kmer, was_forward }))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let remaining = self.codes.len() - self.end;
+        (remaining, Some(remaining))
+    }
+}
+
+impl ExactSizeIterator for CanonicalKmers<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -266,6 +347,25 @@ mod tests {
         fn prop_ascii_roundtrip(k in arb_kmer()) {
             let back = Kmer::from_ascii(k.to_ascii().as_bytes()).unwrap();
             prop_assert_eq!(back, k);
+        }
+
+        #[test]
+        fn prop_rolling_canonical_matches_kmer_iter(
+            codes in proptest::collection::vec(0u8..4, 0..96),
+        ) {
+            // Every k, on prefixes one base shorter than k, exactly k long
+            // and the whole sequence.
+            for k in 1..=MAX_K {
+                for len in [k - 1, k, codes.len()].into_iter().filter(|&len| len <= codes.len()) {
+                    let seq = DnaSeq::from_codes(codes[..len].to_vec());
+                    let rolling: Vec<_> = CanonicalKmers::new(&seq, k).collect();
+                    let oracle: Vec<_> = KmerIter::new(&seq, k)
+                        .map(|(pos, kmer)| (pos, kmer.canonical()))
+                        .collect();
+                    prop_assert_eq!(CanonicalKmers::new(&seq, k).len(), oracle.len());
+                    prop_assert_eq!(rolling, oracle, "k = {}, length {}", k, len);
+                }
+            }
         }
     }
 }

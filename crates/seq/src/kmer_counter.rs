@@ -2,18 +2,29 @@
 //!
 //! The counter mirrors the HipMer-style design diBELLA 2D uses:
 //!
-//! 1. every rank extracts the canonical k-mers of its block of reads and sends
-//!    each k-mer to an owner rank chosen by hashing (`MPI_Alltoallv`);
+//! 1. every rank extracts the canonical k-mers of its block of reads with the
+//!    rolling [`CanonicalKmers`] iterator and sends each one, packed in a
+//!    `u64`, to an owner rank chosen by hashing (`MPI_Alltoallv`);
 //! 2. **pass 1**: owners insert incoming k-mers into a Bloom filter; a k-mer
-//!    that hits the filter (seen at least twice) graduates to the local hash
-//!    table — singletons never occupy table memory;
-//! 3. **pass 2**: the same exchange is repeated and owners count occurrences
-//!    of the k-mers that graduated;
+//!    that hits the filter (seen at least twice) graduates into the owner's
+//!    sorted, deduplicated candidate list — singletons never occupy it;
+//! 3. **pass 2**: the same exchange is repeated; owners sort the incoming
+//!    k-mers and count each run of equal k-mers by a merge-join against
+//!    their candidates;
 //! 4. k-mers whose count falls outside the reliable range
 //!    `[min_count, max_count]` are discarded (the BELLA-style upper bound `d`
 //!    removes repeat-induced high-frequency k-mers);
-//! 5. surviving k-mers receive consecutive column indices — they become the
-//!    columns of the `|reads| x |k-mers|` matrix `A`.
+//! 5. surviving k-mers receive consecutive column indices in increasing
+//!    k-mer order — they become the columns of the `|reads| x |k-mers|`
+//!    matrix `A`.
+//!
+//! Apart from the owners' sorts, every k-mer costs O(1) work: one rolling
+//! update, one owner hash, 8 bytes in the exchange and one Bloom insert.
+//! This is sort-based counting of packed k-mers, as in KMC 3 (Kokot,
+//! Długosz & Deorowicz, Bioinformatics 2017).  Owners work in parallel.  The
+//! monolithic counter exchanges the whole input once per pass; the streaming
+//! counter exchanges one bounded batch per superstep; both run the same
+//! extraction and the same owner state.
 //!
 //! The k-mer exchange traffic is recorded under
 //! [`CommPhase::KmerCounting`] with the paper's `k/4`-bytes-per-k-mer wire
@@ -21,15 +32,19 @@
 //! model `W = n·l·k/(4·P)` of Table I.
 
 use crate::bloom::{BloomFilter, ScalableBloom};
+use crate::dna::DnaSeq;
 use crate::fasta::ReadSet;
-use crate::kmer::{Kmer, KmerIter};
+use crate::kmer::{splitmix64, CanonicalKmers, Kmer, KmerIter};
 use crate::stream::{IngestBudget, ReadBatch};
 use dibella_dist::extras::{
     INGEST_BATCH_BYTES_PEAK_KEY, INGEST_RESIDENT_BYTES_PEAK_KEY, INGEST_SUPERSTEPS_KEY,
 };
-use dibella_dist::{alltoallv_counted, par_ranks, BlockDist, CommPhase, CommStats};
+use dibella_dist::{
+    alltoallv_counted, par_ranks, par_ranks_into, par_ranks_mut, BlockDist, CommPhase, CommStats,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Reliable k-mer selection parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,22 +78,55 @@ impl KmerSelection {
         let bound = (expected + 2.0 * expected.sqrt()).ceil().max(4.0) as u32;
         Self { k, min_count: 2, max_count: bound }
     }
+
+    fn is_reliable(&self, count: u32) -> bool {
+        (self.min_count..=self.max_count).contains(&count)
+    }
+}
+
+/// Hashes a packed k-mer with [`Kmer::hash64`]'s splitmix64 rather than
+/// SipHash.  It is unkeyed: reads crafted to collide in its low bits would
+/// slow lookups, as they would already unbalance the owner ranks, which
+/// are assigned by the same hash.
+#[derive(Default)]
+struct PackedKmerHasher(u64);
+
+impl Hasher for PackedKmerHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, packed: u64) {
+        self.0 = packed;
+    }
+
+    fn finish(&self) -> u64 {
+        splitmix64(self.0)
+    }
 }
 
 /// The reliable k-mer table: canonical k-mers, their counts, and their column
 /// indices in the `|reads| x |k-mers|` matrix `A`.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KmerTable {
-    kmers: Vec<Kmer>,
+    k: usize,
+    /// Packed canonical k-mers in increasing order; the position is the
+    /// column index.
+    kmers: Vec<u64>,
     counts: Vec<u32>,
     #[serde(skip)]
-    index: HashMap<Kmer, u32>,
+    index: HashMap<u64, u32, BuildHasherDefault<PackedKmerHasher>>,
 }
 
 impl KmerTable {
-    fn from_sorted(kmers: Vec<Kmer>, counts: Vec<u32>) -> Self {
-        let index = kmers.iter().enumerate().map(|(i, k)| (*k, i as u32)).collect();
-        Self { kmers, counts, index }
+    /// A table over `(packed k-mer, count)` pairs in increasing k-mer order.
+    fn from_sorted(k: usize, reliable: Vec<(u64, u32)>) -> Self {
+        let (kmers, counts): (Vec<u64>, Vec<u32>) = reliable.into_iter().unzip();
+        let mut index = HashMap::with_capacity_and_hasher(kmers.len(), Default::default());
+        index.extend(kmers.iter().enumerate().map(|(col, &kmer)| (kmer, col as u32)));
+        Self { k, kmers, counts, index }
     }
 
     /// Number of reliable k-mers (`m` in the paper's notation).
@@ -93,12 +141,15 @@ impl KmerTable {
 
     /// Column index of a canonical k-mer, if reliable.
     pub fn column_of(&self, canonical: &Kmer) -> Option<u32> {
-        self.index.get(canonical).copied()
+        if canonical.k() != self.k {
+            return None;
+        }
+        self.index.get(&canonical.packed()).copied()
     }
 
     /// The canonical k-mer at a column index.
     pub fn kmer_at(&self, column: u32) -> Kmer {
-        self.kmers[column as usize]
+        Kmer::from_packed(self.kmers[column as usize], self.k)
     }
 
     /// The count of the k-mer at a column index.
@@ -112,7 +163,7 @@ impl KmerTable {
             .iter()
             .zip(self.counts.iter())
             .enumerate()
-            .map(|(i, (k, c))| (i as u32, *k, *c))
+            .map(|(i, (&kmer, &c))| (i as u32, Kmer::from_packed(kmer, self.k), c))
     }
 
     /// Average number of reads containing a reliable k-mer (`a` in Table II:
@@ -126,9 +177,12 @@ impl KmerTable {
     }
 }
 
-/// Serial reference k-mer counter (used by tests and the minimizer baseline).
+/// Serial reference k-mer counter: the oracle of the distributed and
+/// streaming counters (it packs every window with [`KmerIter`] and
+/// canonicalises it with [`Kmer::canonical`]), and the minimizer baseline's
+/// counter.
 pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTable {
-    let mut counts: HashMap<Kmer, u32> = HashMap::new();
+    let mut counts: BTreeMap<Kmer, u32> = BTreeMap::new();
     for (_, rec) in reads.iter() {
         if rec.seq.len() < selection.k {
             continue;
@@ -137,7 +191,12 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
             *counts.entry(kmer.canonical().kmer).or_insert(0) += 1;
         }
     }
-    build_table(counts, selection)
+    let reliable = counts
+        .into_iter()
+        .filter(|&(_, c)| selection.is_reliable(c))
+        .map(|(kmer, c)| (kmer.packed(), c))
+        .collect();
+    KmerTable::from_sorted(selection.k, reliable)
 }
 
 /// Distributed two-pass k-mer counter over `nprocs` virtual ranks.
@@ -145,7 +204,7 @@ pub fn count_kmers_serial(reads: &ReadSet, selection: &KmerSelection) -> KmerTab
 /// Reads are block-partitioned over ranks; canonical k-mers are exchanged to
 /// hash-assigned owner ranks twice (Bloom pass, then counting pass), exactly
 /// as the paper's k-mer counter does.  Returns the same table as
-/// [`count_kmers_serial`] for any `nprocs`.
+/// [`count_kmers_serial`] for any `nprocs` when `min_count >= 2`.
 pub fn count_kmers_distributed(
     reads: &ReadSet,
     selection: &KmerSelection,
@@ -153,75 +212,23 @@ pub fn count_kmers_distributed(
     stats: &CommStats,
 ) -> KmerTable {
     assert!(nprocs > 0);
-    let read_dist = BlockDist::new(reads.len(), nprocs);
-    // The wire format is 2-bit packed, i.e. k/4 bytes per k-mer: that is
-    // ceil(k/32) 8-byte words.
-    let words_per_kmer = (selection.k as u64).div_ceil(32);
+    let k = selection.k;
+    let extract = || extract_kmers(reads.len(), |i| reads.seq(i), k, nprocs);
+    let mut owners: Vec<OwnerCounts> = (0..nprocs).map(|_| OwnerCounts::default()).collect();
 
-    // Each rank extracts the canonical k-mers of its reads and buckets them by
-    // owner rank (hash of the canonical k-mer).
-    let extract = || -> Vec<Vec<Vec<Kmer>>> {
-        par_ranks(nprocs, |rank| {
-            let mut bufs: Vec<Vec<Kmer>> = (0..nprocs).map(|_| Vec::new()).collect();
-            for read_idx in read_dist.range(rank) {
-                let seq = reads.seq(read_idx);
-                if seq.len() < selection.k {
-                    continue;
-                }
-                for (_, kmer) in KmerIter::new(seq, selection.k) {
-                    let canon = kmer.canonical().kmer;
-                    let owner = (canon.hash64() % nprocs as u64) as usize;
-                    bufs[owner].push(canon);
-                }
-            }
-            bufs
-        })
-    };
+    // Pass 1: Bloom filter pass, each filter sized by its owner's incoming
+    // k-mers.  Owners learn which of their k-mers occur at least twice.
+    for_each_owner(&mut owners, exchange(extract(), k, stats), |owner, kmers| {
+        let mut bloom = BloomFilter::with_rate(kmers.len().max(64), 0.01);
+        owner.graduate(kmers, |kmer| bloom.insert(kmer));
+        owner.seal();
+    });
 
-    // Pass 1: Bloom filter pass.  Owners learn which of their k-mers occur at
-    // least twice.
-    let pass1 = alltoallv_counted(extract(), stats, CommPhase::KmerCounting, words_per_kmer);
-    let candidates: Vec<Vec<Kmer>> = pass1
-        .into_iter()
-        .map(|incoming| {
-            let mut bloom = BloomFilter::with_rate(incoming.len().max(64), 0.01);
-            let mut seen_twice: HashMap<Kmer, ()> = HashMap::new();
-            for kmer in incoming {
-                if bloom.insert(kmer.packed()) {
-                    seen_twice.entry(kmer).or_insert(());
-                }
-            }
-            seen_twice.into_keys().collect()
-        })
-        .collect();
-
-    // Pass 2: counting pass over the same exchange.
-    let pass2 = alltoallv_counted(extract(), stats, CommPhase::KmerCounting, words_per_kmer);
-    let per_rank_counts: Vec<HashMap<Kmer, u32>> = pass2
-        .into_iter()
-        .zip(candidates)
-        .map(|(incoming, cands)| {
-            let cand_set: std::collections::HashSet<Kmer> = cands.into_iter().collect();
-            let mut counts: HashMap<Kmer, u32> = HashMap::with_capacity(cand_set.len());
-            for kmer in incoming {
-                if cand_set.contains(&kmer) {
-                    *counts.entry(kmer).or_insert(0) += 1;
-                }
-            }
-            counts
-        })
-        .collect();
-
-    // Because the Bloom filter may produce false positives on the *first*
-    // occurrence of a k-mer, a candidate's pass-2 count can still be 1; the
-    // reliable-range filter below removes those, matching the serial counter.
-    let mut merged: HashMap<Kmer, u32> = HashMap::new();
-    for counts in per_rank_counts {
-        for (k, c) in counts {
-            *merged.entry(k).or_insert(0) += c;
-        }
-    }
-    build_table(merged, selection)
+    // Pass 2: counting pass over the same exchange.  A Bloom false positive
+    // on a k-mer's *first* occurrence leaves a candidate with count 1; the
+    // reliable-range filter removes it, matching the serial counter.
+    for_each_owner(&mut owners, exchange(extract(), k, stats), OwnerCounts::count);
+    build_table(&owners, selection)
 }
 
 /// Streaming superstep variant of [`count_kmers_distributed`]: consumes the
@@ -237,7 +244,7 @@ pub fn count_kmers_distributed(
 /// * **pass 1** feeds a [`ScalableBloom`] per owner (sized for an unknown
 ///   stream, unlike the monolithic counter's count-sized [`BloomFilter`]);
 ///   k-mers seen at least twice anywhere in the stream graduate to the
-///   owner's candidate set;
+///   owner's candidate list;
 /// * **pass 2** re-streams the same input (`batches` is called once per
 ///   pass) and counts occurrences of the graduated candidates.
 ///
@@ -272,15 +279,17 @@ where
     F: FnMut() -> Result<I, String>,
 {
     assert!(nprocs > 0);
-    let words_per_kmer = (selection.k as u64).div_ceil(32);
+    let k = selection.k;
+    let extract =
+        |batch: &ReadBatch| extract_kmers(batch.len(), |i| &batch.records[i].seq, k, nprocs);
     let mut peaks = IngestPeaks::default();
 
     // Pass 1: Bloom pass, one superstep per batch.  Owner state (filter +
-    // candidate set) persists across supersteps so k-mers whose occurrences
+    // candidate list) persists across supersteps so k-mers whose occurrences
     // land in different batches still graduate.
-    let mut blooms: Vec<ScalableBloom> =
-        (0..nprocs).map(|_| ScalableBloom::with_rate(1 << 12, 0.01)).collect();
-    let mut candidates: Vec<HashSet<Kmer>> = vec![HashSet::new(); nprocs];
+    let mut owners: Vec<(OwnerCounts, ScalableBloom)> = (0..nprocs)
+        .map(|_| (OwnerCounts::default(), ScalableBloom::with_rate(1 << 12, 0.01)))
+        .collect();
     let mut pass1_steps = 0u64;
     let mut pass1_reads = 0usize;
     for batch in batches()? {
@@ -290,26 +299,22 @@ where
         }
         pass1_steps += 1;
         pass1_reads += batch.len();
-        let send = extract_batch(&batch, selection, nprocs);
-        let owner_state: u64 = blooms.iter().map(|b| b.resident_bytes() as u64).sum::<u64>()
-            + kmer_set_bytes(&candidates);
+        let send = extract(&batch);
+        let owner_state = owners
+            .iter()
+            .map(|(owner, bloom)| owner.resident_bytes() + bloom.resident_bytes() as u64)
+            .sum();
         peaks.observe(&batch, &send, owner_state, budget)?;
-        let incoming = alltoallv_counted(send, stats, CommPhase::KmerCounting, words_per_kmer);
-        for (owner, kmers) in incoming.into_iter().enumerate() {
-            for kmer in kmers {
-                if blooms[owner].insert(kmer.packed()) {
-                    candidates[owner].insert(kmer);
-                }
-            }
-        }
+        for_each_owner(&mut owners, exchange(send, k, stats), |(owner, bloom), kmers| {
+            owner.graduate(kmers, |kmer| bloom.insert(kmer))
+        });
     }
-    // The filters have done their job; only the candidate sets survive into
+    // The filters have done their job; only the candidate lists survive into
     // pass 2, so the resident estimate drops accordingly.
-    drop(blooms);
+    let mut owners: Vec<OwnerCounts> = owners.into_iter().map(|(owner, _)| owner).collect();
+    par_ranks_mut(&mut owners, |_, owner| owner.seal());
 
     // Pass 2: counting pass over a fresh stream of the same input.
-    let mut counts: Vec<HashMap<Kmer, u32>> =
-        candidates.iter().map(|c| HashMap::with_capacity(c.len())).collect();
     let mut pass2_steps = 0u64;
     let mut pass2_reads = 0usize;
     for batch in batches()? {
@@ -319,21 +324,10 @@ where
         }
         pass2_steps += 1;
         pass2_reads += batch.len();
-        let send = extract_batch(&batch, selection, nprocs);
-        let owner_state: u64 = kmer_set_bytes(&candidates)
-            + counts
-                .iter()
-                .map(|c| (c.len() * (std::mem::size_of::<Kmer>() + 4)) as u64 * 2)
-                .sum::<u64>();
+        let send = extract(&batch);
+        let owner_state = owners.iter().map(OwnerCounts::resident_bytes).sum();
         peaks.observe(&batch, &send, owner_state, budget)?;
-        let incoming = alltoallv_counted(send, stats, CommPhase::KmerCounting, words_per_kmer);
-        for (owner, kmers) in incoming.into_iter().enumerate() {
-            for kmer in kmers {
-                if candidates[owner].contains(&kmer) {
-                    *counts[owner].entry(kmer).or_insert(0) += 1;
-                }
-            }
-        }
+        for_each_owner(&mut owners, exchange(send, k, stats), OwnerCounts::count);
     }
     if pass2_steps != pass1_steps || pass2_reads != pass1_reads {
         return Err(format!(
@@ -345,47 +339,177 @@ where
     stats.max_extra(INGEST_SUPERSTEPS_KEY, pass1_steps);
     stats.max_extra(INGEST_BATCH_BYTES_PEAK_KEY, peaks.batch_bytes);
     stats.max_extra(INGEST_RESIDENT_BYTES_PEAK_KEY, peaks.resident_bytes);
-
-    // Owners partition the k-mer space by hash, so the per-owner count maps
-    // are disjoint and merging is a plain union.
-    let mut merged: HashMap<Kmer, u32> = HashMap::new();
-    for owner_counts in counts {
-        merged.extend(owner_counts);
-    }
-    Ok(build_table(merged, selection))
+    Ok(build_table(&owners, selection))
 }
 
-/// One superstep's extraction: every rank walks its block of the batch and
-/// buckets canonical k-mers by owner rank.  The returned buffers are moved
-/// into the exchange (consumed, not cloned), so a superstep's send side is
-/// resident exactly once.
-fn extract_batch(
-    batch: &ReadBatch,
-    selection: &KmerSelection,
+/// Every rank's canonical k-mers, packed and bucketed by owner rank:
+/// `out[rank][owner]`.  The `n` reads (`seq(i)` is read `i`) are
+/// block-partitioned over the ranks.  The returned buffers are moved into
+/// the exchange (consumed, not cloned), so the send side is resident
+/// exactly once.
+fn extract_kmers<'a>(
+    n: usize,
+    seq: impl Fn(usize) -> &'a DnaSeq + Sync,
+    k: usize,
     nprocs: usize,
-) -> Vec<Vec<Vec<Kmer>>> {
-    let batch_dist = BlockDist::new(batch.len(), nprocs);
+) -> Vec<Vec<Vec<u64>>> {
+    let dist = BlockDist::new(n, nprocs);
     par_ranks(nprocs, |rank| {
-        let mut bufs: Vec<Vec<Kmer>> = (0..nprocs).map(|_| Vec::new()).collect();
-        for idx in batch_dist.range(rank) {
-            let seq = &batch.records[idx].seq;
-            if seq.len() < selection.k {
-                continue;
-            }
-            for (_, kmer) in KmerIter::new(seq, selection.k) {
-                let canon = kmer.canonical().kmer;
-                let owner = (canon.hash64() % nprocs as u64) as usize;
-                bufs[owner].push(canon);
+        let reads = dist.range(rank).map(&seq).filter(|s| s.len() >= k);
+        // The owner hash spreads k-mers evenly, so each bucket is reserved
+        // for its expected share plus four standard deviations instead of
+        // growing by doubling.
+        let windows: usize = reads.clone().map(|s| s.len() + 1 - k).sum();
+        let share = windows / nprocs;
+        let reserve = share + 4 * (share as f64).sqrt().ceil() as usize;
+        let mut bufs: Vec<Vec<u64>> = (0..nprocs).map(|_| Vec::with_capacity(reserve)).collect();
+        for s in reads {
+            for (_, canon) in CanonicalKmers::new(s, k) {
+                let packed = canon.kmer.packed();
+                bufs[(splitmix64(packed) % nprocs as u64) as usize].push(packed);
             }
         }
         bufs
     })
 }
 
-/// Rough heap bytes of the per-owner candidate sets (2x for hash-table
-/// overhead — an estimate, cross-checked by the allocator-based tests).
-fn kmer_set_bytes(sets: &[HashSet<Kmer>]) -> u64 {
-    sets.iter().map(|s| (s.len() * std::mem::size_of::<Kmer>()) as u64 * 2).sum()
+/// One k-mer exchange, accounted under [`CommPhase::KmerCounting`].  The
+/// wire format is 2-bit packed, i.e. k/4 bytes per k-mer: that is
+/// `ceil(k/32)` 8-byte words.
+fn exchange(send: Vec<Vec<Vec<u64>>>, k: usize, stats: &CommStats) -> Vec<Vec<u64>> {
+    alltoallv_counted(send, stats, CommPhase::KmerCounting, (k as u64).div_ceil(32))
+}
+
+/// Hand every owner its incoming k-mers, owners in parallel.
+fn for_each_owner<S: Send>(
+    owners: &mut [S],
+    incoming: Vec<Vec<u64>>,
+    f: impl Fn(&mut S, Vec<u64>) + Sync,
+) {
+    par_ranks_into(owners.iter_mut().zip(incoming).collect(), |_, (owner, kmers)| f(owner, kmers));
+}
+
+/// Pending graduates below this many are never merged early.
+const MIN_PENDING: usize = 1 << 12;
+
+/// One owner rank's counting state: pass 1's graduates as a sorted,
+/// deduplicated candidate list, then the candidates' pass-2 counts.
+#[derive(Default)]
+struct OwnerCounts {
+    candidates: Vec<u64>,
+    /// Graduates not yet merged into `candidates`; may hold duplicates.
+    pending: Vec<u64>,
+    /// Pass-2 count of `candidates[i]`; sized by [`Self::seal`].
+    counts: Vec<u32>,
+}
+
+impl OwnerCounts {
+    /// Pass 1: keep the k-mers that `seen` reports as seen before (they
+    /// occur at least twice, or are Bloom false positives).  `seen` is
+    /// called once per k-mer, in order.
+    fn graduate(&mut self, mut kmers: Vec<u64>, mut seen: impl FnMut(u64) -> bool) {
+        kmers.retain(|&kmer| seen(kmer));
+        if self.pending.is_empty() {
+            self.pending = kmers;
+        } else {
+            self.pending.append(&mut kmers);
+        }
+        // A k-mer graduates again on every later sighting, so merge once the
+        // pending list outgrows the candidates: the state stays within about
+        // twice the candidate list at amortised O(log n) work per graduate.
+        if self.pending.len() > self.candidates.len().max(MIN_PENDING) {
+            self.merge_pending();
+        }
+    }
+
+    fn merge_pending(&mut self) {
+        let mut fresh = std::mem::take(&mut self.pending);
+        fresh.sort_unstable();
+        fresh.dedup();
+        if self.candidates.is_empty() {
+            self.candidates = fresh;
+        } else if !fresh.is_empty() {
+            self.candidates = merge_sorted(&self.candidates, &fresh);
+        }
+        self.candidates.shrink_to_fit();
+    }
+
+    /// End of pass 1: merge the last graduates and zero the counts.
+    fn seal(&mut self) {
+        self.merge_pending();
+        self.counts = vec![0; self.candidates.len()];
+    }
+
+    /// Pass 2: sort `kmers` and add each run of equal k-mers to its
+    /// candidate's count, by a merge-join that gallops over the candidates
+    /// (one superstep's k-mers may touch few of them).
+    fn count(&mut self, mut kmers: Vec<u64>) {
+        kmers.sort_unstable();
+        let mut at = 0;
+        for run in kmers.chunk_by(|a, b| a == b) {
+            at += gallop(&self.candidates[at..], run[0]);
+            if self.candidates.get(at) == Some(&run[0]) {
+                self.counts[at] += run.len() as u32;
+            }
+        }
+    }
+
+    /// The reliable candidates as `(packed k-mer, count)`, in k-mer order.
+    fn reliable<'a>(
+        &'a self,
+        selection: &'a KmerSelection,
+    ) -> impl Iterator<Item = (u64, u32)> + 'a {
+        self.candidates
+            .iter()
+            .zip(&self.counts)
+            .filter(|&(_, &c)| selection.is_reliable(c))
+            .map(|(&kmer, &c)| (kmer, c))
+    }
+
+    /// Heap bytes the state can reach in a superstep, from capacities: a
+    /// merge briefly holds the old list, the sorted pending list and the
+    /// merged list, so the lists are charged twice.
+    fn resident_bytes(&self) -> u64 {
+        let words = self.candidates.capacity() + self.pending.capacity();
+        (2 * words * std::mem::size_of::<u64>() + self.counts.capacity() * 4) as u64
+    }
+}
+
+/// The union of two sorted, deduplicated lists.
+fn merge_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Index of the first element of sorted `xs` that is not below `key`,
+/// searched forward from the front in doubling steps, so a near answer is
+/// cheap.
+fn gallop(xs: &[u64], key: u64) -> usize {
+    let mut hi = 1;
+    while hi < xs.len() && xs[hi - 1] < key {
+        hi *= 2;
+    }
+    let hi = hi.min(xs.len());
+    let lo = hi / 2;
+    lo + xs[lo..hi].partition_point(|&x| x < key)
+}
+
+/// The final table: owners partition the k-mer space by hash, so their
+/// reliable k-mers are disjoint and one sort orders the columns.
+fn build_table(owners: &[OwnerCounts], selection: &KmerSelection) -> KmerTable {
+    let mut reliable: Vec<(u64, u32)> =
+        owners.iter().flat_map(|owner| owner.reliable(selection)).collect();
+    reliable.sort_unstable_by_key(|&(kmer, _)| kmer);
+    KmerTable::from_sorted(selection.k, reliable)
 }
 
 /// Running peaks of the streaming ingest's resident-byte estimate.
@@ -399,12 +523,13 @@ impl IngestPeaks {
     /// Fold one superstep into the peaks and enforce the resident budget.
     ///
     /// The estimate charges the batch itself, the exchange buffers twice
-    /// (send and receive sides are briefly co-resident inside the
-    /// all-to-all) and the persistent owner state.
+    /// (an upper bound: the all-to-all holds the send side and the receive
+    /// buffers filled so far; each k-mer is one 8-byte word on both) and the
+    /// persistent owner state.
     fn observe(
         &mut self,
         batch: &ReadBatch,
-        send: &[Vec<Vec<Kmer>>],
+        send: &[Vec<Vec<u64>>],
         owner_state: u64,
         budget: &IngestBudget,
     ) -> Result<(), String> {
@@ -412,7 +537,7 @@ impl IngestPeaks {
         let exchange_bytes: u64 = send
             .iter()
             .flatten()
-            .map(|buf| (buf.len() * std::mem::size_of::<Kmer>()) as u64)
+            .map(|buf| (buf.capacity() * std::mem::size_of::<u64>()) as u64)
             .sum();
         let resident = batch_bytes + 2 * exchange_bytes + owner_state;
         self.batch_bytes = self.batch_bytes.max(batch_bytes);
@@ -428,16 +553,6 @@ impl IngestPeaks {
         }
         Ok(())
     }
-}
-
-fn build_table(counts: HashMap<Kmer, u32>, selection: &KmerSelection) -> KmerTable {
-    let mut reliable: Vec<(Kmer, u32)> = counts
-        .into_iter()
-        .filter(|(_, c)| *c >= selection.min_count && *c <= selection.max_count)
-        .collect();
-    reliable.sort_by_key(|(k, _)| *k);
-    let (kmers, counts): (Vec<_>, Vec<_>) = reliable.into_iter().unzip();
-    KmerTable::from_sorted(kmers, counts)
 }
 
 #[cfg(test)]

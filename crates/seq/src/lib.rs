@@ -5,7 +5,8 @@
 //! * [`dna`] — the DNA alphabet, 2-bit codes, reverse complements and the
 //!   [`dna::DnaSeq`] sequence type.
 //! * [`kmer`] — fixed-length k-mers packed into a `u64` (k ≤ 31), canonical
-//!   forms and k-mer extraction from sequences.
+//!   forms and k-mer extraction from sequences, including the rolling
+//!   [`kmer::CanonicalKmers`] iterator every index-stage scan uses.
 //! * [`fasta`] — FASTA parsing/writing and the [`fasta::ReadSet`] container
 //!   used throughout the pipeline.
 //! * [`bloom`] — the Bloom filter used to discard singleton k-mers during
@@ -44,7 +45,7 @@ pub use fasta::{
     write_fasta, write_fasta_file, FastqFilterStats, ReadRecord, ReadSet,
 };
 pub use hpc::HpcSeq;
-pub use kmer::{CanonicalKmer, Kmer, KmerIter};
+pub use kmer::{CanonicalKmer, CanonicalKmers, Kmer, KmerIter};
 pub use kmer_counter::{
     count_kmers_distributed, count_kmers_serial, count_kmers_streaming, KmerSelection, KmerTable,
 };

@@ -20,7 +20,7 @@
 //!   k-min-mer path needs for predictable matrix sparsity.
 
 use crate::dna::DnaSeq;
-use crate::kmer::KmerIter;
+use crate::kmer::CanonicalKmers;
 
 /// One selected (or candidate) minimizer: the canonical k-mer hash, the
 /// 0-based start position of the k-mer in the sequence as stored, and whether
@@ -32,11 +32,8 @@ pub type MinimizerPos = (u64, u32, bool);
 /// Returns one `(hash64, pos, was_forward)` triple per k-mer window; empty if
 /// `seq.len() < k`.
 pub fn kmer_hashes(seq: &DnaSeq, k: usize) -> Vec<MinimizerPos> {
-    KmerIter::new(seq, k)
-        .map(|(pos, kmer)| {
-            let canon = kmer.canonical();
-            (canon.kmer.hash64(), pos as u32, canon.was_forward)
-        })
+    CanonicalKmers::new(seq, k)
+        .map(|(pos, canon)| (canon.kmer.hash64(), pos as u32, canon.was_forward))
         .collect()
 }
 

@@ -282,10 +282,16 @@ impl<T: Clone> CsrMatrix<T> {
     /// Panics if the triples contain duplicate `(row, col)` coordinates — use
     /// [`Triples::merge_duplicates`] first if duplicates are expected.
     pub fn from_triples(triples: &Triples<T>) -> Self {
-        let nrows = triples.nrows();
-        let ncols = triples.ncols();
-        let mut entries: Vec<(usize, usize, T)> =
-            triples.iter().map(|(r, c, v)| (r, c, v.clone())).collect();
+        let entries = triples.iter().map(|(r, c, v)| (r, c, v.clone())).collect();
+        Self::from_entries(triples.nrows(), triples.ncols(), entries)
+    }
+
+    /// Build from `(row, col, value)` entries taken by value (sorted in
+    /// place, values moved); duplicate coordinates are rejected.
+    ///
+    /// # Panics
+    /// Panics if two entries share a `(row, col)` coordinate.
+    pub fn from_entries(nrows: usize, ncols: usize, mut entries: Vec<(usize, usize, T)>) -> Self {
         entries.sort_by_key(|a| (a.0, a.1));
         for w in entries.windows(2) {
             assert!(

@@ -8,7 +8,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::triples::Triples;
-use dibella_dist::{par_ranks, BlockDist, ProcessGrid};
+use dibella_dist::{par_ranks, par_ranks_into, BlockDist, ProcessGrid};
 use serde::{Deserialize, Serialize};
 
 /// A sparse matrix block-distributed over a 2D process grid.
@@ -41,19 +41,12 @@ impl<T: Clone + Send + Sync> DistMat2D<T> {
             per_rank[rank].push((r - row_dist.start(bi), c - col_dist.start(bj), v.clone()));
         }
 
-        // Build the local CSR blocks in parallel.
-        let blocks: Vec<CsrMatrix<T>> = {
-            let per_rank_ref = &per_rank;
-            par_ranks(grid.nprocs(), |rank| {
-                let (bi, bj) = grid.coords(rank);
-                let local = Triples::from_entries(
-                    row_dist.size(bi),
-                    col_dist.size(bj),
-                    per_rank_ref[rank].clone(),
-                );
-                CsrMatrix::from_triples(&local)
-            })
-        };
+        // Build the local CSR blocks in parallel, each from its own bucket
+        // (moved, not cloned).
+        let blocks = par_ranks_into(per_rank, |rank, entries| {
+            let (bi, bj) = grid.coords(rank);
+            CsrMatrix::from_entries(row_dist.size(bi), col_dist.size(bj), entries)
+        });
 
         Self { grid, nrows, ncols, row_dist, col_dist, blocks }
     }
